@@ -35,6 +35,7 @@
 #define ATTR_NAMES(X) \
     X(cpu) X(wf) X(map) X(counters) X(scheme) X(ready) X(current) \
     X(last_suspended) X(verify_registers) X(_profiler) X(_tracing) \
+    X(_observers) \
     X(_steps) X(_progress) X(_save_instr_cost) X(_restore_instr_cost) \
     X(_regs) X(_wim) X(_kind) X(_tid) X(cwp) X(global_regs) \
     X(_above) X(_below) X(_in_base) X(_out_base) \
@@ -1611,6 +1612,13 @@ fast_run_batched(PyObject *self, PyObject *kernel)
                 goto fail_run;
             if (tr)
                 goto done_run;  /* subscriber attached: compat loop */
+            /* a quantum-boundary observer attached mid-run: the pure
+             * batched loop carries the observation hooks */
+            tr = get_truth(kernel, a__observers);
+            if (tr < 0)
+                goto fail_run;
+            if (tr)
+                goto done_run;
             qn = PyObject_Size(c.queue);
             if (qn < 0)
                 goto fail_run;

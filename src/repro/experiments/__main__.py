@@ -11,6 +11,12 @@ points it already finished.
 ``report`` emits one versioned RunReport JSON document (see
 ``repro.metrics.report``) for a fully-instrumented spell-checker run.
 
+With ``--no-cache`` nothing is read from or written to disk, but one
+invocation still runs each distinct point once: the figures share
+points (Figures 12 and 13 re-plot Figure 11's high-concurrency grid),
+so the reports of this invocation are memoised in memory and the last
+line counts the points served from that memo.
+
 Environment knobs:
   REPRO_SCALE      corpus scale factor (default 0.25; 1.0 = paper size)
   REPRO_WINDOWS    comma-separated window counts (default 4..32 subset)
@@ -35,6 +41,7 @@ from repro.experiments.figures import (
 from repro.experiments.harness import GRANULARITIES
 from repro.experiments.table1 import render_table1, run_table1
 from repro.experiments.table2 import render_table2, run_table2
+from repro.metrics.report import from_json, to_json
 
 FIGURES = {
     "fig11": run_fig11,
@@ -43,6 +50,31 @@ FIGURES = {
     "fig14": run_fig14,
     "fig15": run_fig15,
 }
+
+
+class ReportMemo:
+    """In-memory stand-in for the engine's ``ResultCache``: the
+    RunReports of one ``--no-cache`` invocation, keyed like the cache
+    and served as fresh parses of the same JSON text."""
+
+    root = None  # no failure manifest: nothing is written to disk
+
+    def __init__(self):
+        self._text = {}
+        self.hits = 0
+
+    def get(self, key):
+        text = self._text.get(key)
+        if text is None:
+            return None
+        self.hits += 1
+        return from_json(text)
+
+    def put(self, key, report) -> None:
+        self._text[key] = to_json(report)
+
+    def update_manifest(self, entries, fingerprint) -> None:
+        pass
 
 
 def _emit_figure(name: str, windows, scale, engine) -> None:
@@ -148,6 +180,9 @@ def main(argv=None) -> int:
                              keep_going=args.keep_going,
                              spec_defaults=spec_defaults,
                              metrics_out=metrics_out)
+    memo = None
+    if args.no_cache:
+        memo = engine.cache = ReportMemo()
 
     targets = ([args.target] if args.target != "all"
                else ["table1", "table2"] + sorted(FIGURES))
@@ -165,6 +200,9 @@ def main(argv=None) -> int:
                 and engine.failure_manifest_path() is not None:
             print("failure manifest: %s" % engine.failure_manifest_path())
         print()
+    if memo is not None:
+        print("report memo: %d point(s) served from memory (--no-cache)"
+              % memo.hits)
     return 0
 
 

@@ -668,7 +668,7 @@ class Engine:
         """Where quarantined failures are recorded (None: nowhere)."""
         if self.manifest_path is not None:
             return self.manifest_path
-        if self.cache is not None:
+        if self.cache is not None and self.cache.root is not None:
             return self.cache.root / "failures.json"
         return None
 

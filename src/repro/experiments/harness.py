@@ -11,7 +11,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.apps.spellcheck import SpellConfig, run_spellchecker
 from repro.core.working_set import FIFOPolicy, WorkingSetPolicy
 from repro.metrics.behavior import BehaviorTracker
-from repro.metrics.events import TraceRecorder
+from repro.metrics.quanta import QuantumLog
 from repro.metrics.report import build_run_report
 from repro.metrics.tracing import OccupancyTimeline
 
@@ -106,15 +106,29 @@ def run_point(scheme: str, n_windows: int, concurrency: str,
     )
 
 
+def attach_report_observers(kernel) -> Dict[str, object]:
+    """Attach the observers a RunReport is built from — tracker,
+    timeline and the event-statistics log — to ``kernel``'s quantum
+    boundaries; they leave the run on the batched loop."""
+    tracker = BehaviorTracker()
+    timeline = OccupancyTimeline()
+    observers = {"recorder": kernel.observe(QuantumLog()),
+                 "tracker": tracker, "timeline": timeline}
+    kernel.tracker = tracker
+    kernel.timeline = timeline
+    return observers
+
+
 def run_report_point(scheme: str, n_windows: int, concurrency: str,
                      granularity: str, scale: Optional[float] = None,
                      working_set: bool = False, seed: int = 1993,
                      allocation=None, faults: str = "",
                      fault_seed: int = 1993, audit: bool = False,
                      watchdog: int = 0) -> Dict:
-    """Run one spell-checker point with the full observability stack
-    attached and return its versioned RunReport dict (the document
-    ``benchmarks/`` emits for cross-PR perf trajectories).
+    """Run one spell-checker point with the report observers attached
+    (:func:`attach_report_observers`) and return its versioned
+    RunReport dict (the document ``benchmarks/`` emits for cross-PR
+    perf trajectories).
 
     ``faults`` (a :meth:`FaultPlan.parse` spec), ``audit`` and
     ``watchdog`` turn on the robustness machinery; register
@@ -131,11 +145,7 @@ def run_report_point(scheme: str, n_windows: int, concurrency: str,
     observers = {}
 
     def instrument(kernel):
-        observers["recorder"] = kernel.enable_tracing()
-        observers["tracker"] = BehaviorTracker()
-        kernel.tracker = observers["tracker"]
-        observers["timeline"] = OccupancyTimeline()
-        kernel.timeline = observers["timeline"]
+        observers.update(attach_report_observers(kernel))
 
     injector = None
     if faults:

@@ -51,6 +51,8 @@ class FaultInjector:
         self.events = None
         #: every spec that fired, with its site and concrete detail
         self.fired: List[Dict[str, Any]] = []
+        #: armed trap drop/dup actions consumed at an overflow trap
+        self.trap_actions = 0
         self._counts: Dict[str, int] = {}
         self._pending: Dict[str, Dict[int, List[FaultSpec]]] = {}
         for spec in plan.specs:
@@ -136,10 +138,12 @@ class FaultInjector:
     def take_trap_action(self, tw) -> Optional[str]:
         """Consume the armed drop/dup action at the next overflow trap."""
         action, self._trap_action = self._trap_action, None
-        if action is not None and self.events is not None \
-                and self.events.active:
-            self.events.emit("fault", tid=tw.tid, fault="trap_" + action,
-                             site="overflow", applied=True)
+        if action is not None:
+            self.trap_actions += 1
+            if self.events is not None and self.events.active:
+                self.events.emit("fault", tid=tw.tid,
+                                 fault="trap_" + action,
+                                 site="overflow", applied=True)
         return action
 
     # -- hook: cpu.restore ---------------------------------------------------

@@ -12,10 +12,11 @@
 * **Parallel slackness** — ready-queue length when a thread is picked
   (sampled by :class:`repro.runtime.scheduler.ReadyQueue`).
 
-The tracker subscribes to the kernel's event bus (attaching with
-``kernel.tracker = BehaviorTracker()`` subscribes it automatically) and
-records one row per scheduling quantum; the analysis functions then
-aggregate over configurable periods.
+The tracker observes the kernel's quantum boundaries (attach with
+``kernel.tracker = BehaviorTracker()``; see :mod:`repro.metrics.quanta`)
+and records one row per scheduling quantum; the analysis functions then
+aggregate over configurable periods.  Observing does not change the
+execution loop: the batched loop reports each quantum's depth range.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ from typing import Dict, List, Optional
 @dataclass
 class Quantum:
     """One scheduling quantum of one thread."""
+
+    __slots__ = ("tid", "start_cycle", "end_cycle", "min_depth",
+                 "max_depth")
 
     tid: int
     start_cycle: int
@@ -53,12 +57,35 @@ class BehaviorTracker:
         self._min = 0
         self._max = 0
 
-    # -- event-bus subscriber ------------------------------------------------
+    # -- quantum-boundary observer -------------------------------------------
+
+    def on_quantum_start(self, tid: int, depth: int, cycle: int,
+                         switch_cost: int) -> None:
+        self._close(cycle)
+        self._tid = tid
+        self._start = cycle
+        self._min = depth
+        self._max = depth
+
+    def on_quantum_end(self, tid: int, exit_code: int, cycle: int,
+                       min_depth: int, max_depth: int) -> None:
+        if tid == self._tid:
+            if min_depth < self._min:
+                self._min = min_depth
+            if max_depth > self._max:
+                self._max = max_depth
+
+    def on_run_end(self, kernel, cycle: int) -> None:
+        self.finish(cycle)
+
+    # -- event-bus adapter -----------------------------------------------------
 
     def on_event(self, event) -> None:
-        """Consume bus events: quanta open on ``dispatch``, depth
-        excursions come from ``save``/``restore``, and ``run_end``
-        closes the final quantum."""
+        """Consume bus events instead (``kernel.events.subscribe``):
+        quanta open on ``dispatch``, depth excursions come from every
+        ``save``/``restore``, and ``run_end`` closes the final quantum.
+        Subscribing selects the step-granular loop; the quanta are the
+        same as the quantum-boundary hook records."""
         kind = event.kind
         if kind == "dispatch":
             self.on_dispatch(event.tid, event.attrs["depth"], event.cycle)
@@ -70,11 +97,7 @@ class BehaviorTracker:
     # -- kernel hooks -------------------------------------------------------
 
     def on_dispatch(self, tid: int, depth: int, cycles: int) -> None:
-        self._close(cycles)
-        self._tid = tid
-        self._start = cycles
-        self._min = depth
-        self._max = depth
+        self.on_quantum_start(tid, depth, cycles, 0)
 
     def on_depth(self, depth: int) -> None:
         if depth < self._min:

@@ -11,9 +11,14 @@ the kernel; the stock ones are:
   per-thread cycle attribution and switch-cost percentiles;
 * :class:`repro.metrics.perfetto.PerfettoExporter` — Chrome trace-event
   JSON for ``chrome://tracing`` / Perfetto;
-* :class:`repro.metrics.behavior.BehaviorTracker` and
-  :class:`repro.metrics.tracing.OccupancyTimeline` — the paper-§5
-  analyses, now bus subscribers.
+* :class:`RingRecorder` (here) — the crash-bundle flight recorder.
+
+The RunReport observers — :class:`repro.metrics.behavior.BehaviorTracker`,
+:class:`repro.metrics.tracing.OccupancyTimeline` and
+:class:`repro.metrics.quanta.QuantumLog` — are not bus subscribers: they
+observe quantum boundaries (:mod:`repro.metrics.quanta`), which every
+dispatch loop reports without selecting the step-granular one.  A live
+subscriber here does select it.
 
 The bus is **disabled by default**: publishers guard every emit with a
 single ``if bus.active`` check, so an uninstrumented run pays one no-op
@@ -164,6 +169,21 @@ def percentile(values: List[float], q: float) -> float:
         return 0.0
     rank = int(round(q / 100.0 * (len(ordered) - 1)))
     return float(ordered[rank])
+
+
+def percentile_of_histogram(hist: Dict[int, int], q: float) -> float:
+    """:func:`percentile` of the multiset ``{value: count}`` — the same
+    nearest-rank pick, without expanding the histogram."""
+    total = sum(hist.values())
+    if not total:
+        return 0.0
+    rank = int(round(q / 100.0 * (total - 1)))
+    seen = 0
+    for value in sorted(hist):
+        seen += hist[value]
+        if seen > rank:
+            return float(value)
+    raise AssertionError("rank beyond the histogram")  # unreachable
 
 
 class TraceRecorder:

@@ -4,7 +4,8 @@ A *RunReport* merges everything the instrumentation layer knows about a
 run — the :class:`~repro.metrics.counters.Counters` snapshot, the §5
 behaviour measures from :class:`~repro.metrics.behavior.BehaviorTracker`,
 occupancy-timeline statistics, and event-stream statistics from a
-:class:`~repro.metrics.events.TraceRecorder` — into a single dict with a
+:class:`~repro.metrics.events.TraceRecorder` or a
+:class:`~repro.metrics.quanta.QuantumLog` — into a single dict with a
 stable, versioned schema.  The experiment harness and the benchmark
 suite emit these so per-PR performance trajectories can be diffed
 mechanically.
@@ -53,7 +54,10 @@ def build_run_report(result, config: Optional[Dict[str, Any]] = None,
     """Assemble the report dict for one finished run.
 
     ``result`` is the :class:`repro.runtime.kernel.RunResult`; the
-    optional observers contribute their sections when given.  The
+    optional observers contribute their sections when given
+    (``recorder`` is a TraceRecorder or a QuantumLog: both provide
+    ``len``, ``by_kind``, ``switch_cost_stats`` and
+    ``per_thread_cycles`` with the same values for the same run).  The
     ``counters`` section reproduces ``Counters.snapshot()`` exactly
     (with per-thread keys stringified for JSON).
 

@@ -8,13 +8,16 @@ window, one column per scheduling quantum — which makes the difference
 between the schemes directly visible (NS wipes the file every column;
 SP's columns barely change).
 
-Attach with ``kernel.timeline = OccupancyTimeline()``.
+Attach with ``kernel.timeline = OccupancyTimeline()``: the timeline
+observes the kernel's quantum boundaries (:mod:`repro.metrics.quanta`)
+and snapshots at every dispatch, whichever loop runs the quantum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from operator import ne
+from typing import List, Optional, Tuple
 
 from repro.windows.occupancy import FRAME, FREE, RESERVED
 
@@ -25,13 +28,32 @@ _PRW_GLYPHS = "abcdefghijklmnopqrstuvwxyz"
 _FRAME_GLYPHS = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
+def _glyph(kind: str, tid: Optional[int]) -> str:
+    if kind == FREE:
+        return _FREE_GLYPH
+    if kind == RESERVED:
+        if tid is None:
+            return _RESERVED_GLYPH
+        return _PRW_GLYPHS[tid % len(_PRW_GLYPHS)]
+    return _FRAME_GLYPHS[tid % len(_FRAME_GLYPHS)]
+
+
 @dataclass
 class TimelineSample:
-    """Occupancy of every window at one instant."""
+    """Occupancy of every window at one instant: a compact copy of the
+    window map's kind and owner columns."""
+
+    __slots__ = ("cycle", "running_tid", "kinds", "tids")
 
     cycle: int
     running_tid: int
-    cells: List[str]  # one glyph per physical window
+    kinds: Tuple[str, ...]
+    tids: Tuple[Optional[int], ...]
+
+    @property
+    def cells(self) -> List[str]:
+        """One glyph per physical window (derived on demand)."""
+        return [_glyph(k, t) for k, t in zip(self.kinds, self.tids)]
 
 
 class OccupancyTimeline:
@@ -53,14 +75,28 @@ class OccupancyTimeline:
         self._stride = 1
         self._since_kept = 0
         #: the CPU snapshots are taken from; set when the timeline is
-        #: attached to a kernel (``kernel.timeline = ...`` subscribes it
-        #: to the kernel's event bus)
+        #: attached to a kernel (``kernel.timeline = ...``)
         self.cpu = None
 
-    # -- event-bus subscriber ----------------------------------------------
+    # -- quantum-boundary observer ---------------------------------------
+
+    def on_quantum_start(self, tid: int, depth: int, cycle: int,
+                         switch_cost: int) -> None:
+        if self.cpu is not None:
+            self.snapshot(self.cpu, tid, cycle)
+
+    def on_quantum_end(self, tid: int, exit_code: int, cycle: int,
+                       min_depth: int, max_depth: int) -> None:
+        pass
+
+    def on_run_end(self, kernel, cycle: int) -> None:
+        pass
+
+    # -- event-bus adapter -------------------------------------------------
 
     def on_event(self, event) -> None:
-        """Take one snapshot per ``dispatch`` event on the bus."""
+        """Take one snapshot per ``dispatch`` event instead, when
+        subscribed to a bus (which selects the step-granular loop)."""
         if event.kind == "dispatch" and self.cpu is not None:
             self.snapshot(self.cpu, event.tid, event.cycle)
 
@@ -82,20 +118,8 @@ class OccupancyTimeline:
             self._since_kept = 1 % self._stride
         wmap = cpu.map
         self.n_windows = wmap.n_windows
-        cells = []
-        for w in range(wmap.n_windows):
-            kind, tid = wmap.entry(w)
-            if kind == FREE:
-                cells.append(_FREE_GLYPH)
-            elif kind == RESERVED:
-                if tid is None:
-                    cells.append(_RESERVED_GLYPH)
-                else:
-                    cells.append(_PRW_GLYPHS[tid % len(_PRW_GLYPHS)])
-            else:
-                cells.append(
-                    _FRAME_GLYPHS[tid % len(_FRAME_GLYPHS)])
-        self.samples.append(TimelineSample(cycle, running_tid, cells))
+        self.samples.append(TimelineSample(
+            cycle, running_tid, tuple(wmap._kind), tuple(wmap._tid)))
 
     # -- analysis ----------------------------------------------------------------
 
@@ -108,9 +132,7 @@ class OccupancyTimeline:
         """Mean fraction of windows holding live frames."""
         if not self.samples or not self.n_windows:
             return 0.0
-        frames = sum(
-            sum(1 for c in s.cells if c in _FRAME_GLYPHS)
-            for s in self.samples)
+        frames = sum(s.kinds.count(FRAME) for s in self.samples)
         return frames / (len(self.samples) * self.n_windows)
 
     def churn(self) -> float:
@@ -119,19 +141,27 @@ class OccupancyTimeline:
         sharing schemes."""
         if len(self.samples) < 2 or not self.n_windows:
             return 0.0
+        # A cell's glyph changes iff its kind changes, or its owner
+        # changes to one with a different glyph (glyphs wrap at 26/36).
         changed = 0
         for prev, cur in zip(self.samples, self.samples[1:]):
-            changed += sum(1 for a, b in zip(prev.cells, cur.cells)
-                           if a != b)
+            kinds, tids = prev.kinds, prev.tids
+            if tids == cur.tids:
+                if kinds != cur.kinds:
+                    changed += sum(map(ne, kinds, cur.kinds))
+                continue
+            changed += sum(1 for a, b, c, d in zip(kinds, cur.kinds,
+                                                   tids, cur.tids)
+                           if a != b or (c != d
+                                         and _glyph(a, c) != _glyph(b, d)))
         return changed / ((len(self.samples) - 1) * self.n_windows)
 
     def distinct_owners(self, window: int) -> int:
         """How many different threads' frames a window held."""
         owners = set()
         for s in self.samples:
-            cell = s.cells[window]
-            if cell in _FRAME_GLYPHS:
-                owners.add(cell)
+            if s.kinds[window] == FRAME:
+                owners.add(_glyph(FRAME, s.tids[window]))
         return len(owners)
 
     # -- rendering ----------------------------------------------------------------
@@ -144,9 +174,10 @@ class OccupancyTimeline:
         if len(samples) > max_columns:
             step = len(samples) / max_columns
             samples = [samples[int(i * step)] for i in range(max_columns)]
+        columns = [s.cells for s in samples]
         lines = []
         for w in range(self.n_windows):
-            row = "".join(s.cells[w] for s in samples)
+            row = "".join(cells[w] for cells in columns)
             lines.append("W%-2d %s" % (w, row))
         if legend:
             lines.append("")

@@ -20,7 +20,8 @@ Selection precedence (highest first):
 
 Fallback is always graceful: requesting ``"compiled"`` without the
 extension built warns once and runs pure, and configurations that need
-the step-granular loop (fault injection, invariant audit, watchdog)
+the step-granular loop (fault injection, invariant audit, watchdog) or
+observe quantum boundaries (tracker, timeline, RunReport statistics)
 transparently run on the pure path — with a single warning when the
 compiled backend was requested explicitly.
 """
@@ -95,6 +96,17 @@ def select_backend(backend: Optional[str] = None) -> str:
             RuntimeWarning, stacklevel=3)
         return "pure"
     return "compiled" if available else "pure"
+
+
+def warn_observed_fallback() -> None:
+    """One warning when an explicitly-compiled run has quantum-boundary
+    observers attached: the compiled twin has no observation hooks, so
+    the run takes the pure batched loop (still bit-identical)."""
+    warnings.warn(
+        "compiled backend: quantum-boundary observers (tracker, "
+        "timeline, RunReport statistics) run on the pure-Python batched "
+        "loop (results are identical)",
+        RuntimeWarning, stacklevel=4)
 
 
 def warn_step_granular_fallback(reason: str) -> None:

@@ -106,6 +106,7 @@ class Kernel:
         #: backend= kwarg > $REPRO_BACKEND > auto-detect, with graceful
         #: fallback to pure when repro._fast is not built
         requested = backend_mod.requested_backend(backend)
+        self._compiled_requested = requested == "compiled"
         self.backend = backend_mod.select_backend(backend)
         self._fast = (backend_mod.load_fast()
                       if self.backend == "compiled" else None)
@@ -150,6 +151,12 @@ class Kernel:
         self.events.watch_activity(self._set_tracing)
         self._tracker = None
         self._timeline = None
+        #: quantum-boundary observers (see :meth:`observe`); a tuple so
+        #: the dispatch loops' per-quantum guard is one truth test
+        self._observers = ()
+        #: streams closed while bound to this kernel's event bus (the
+        #: ``stream_close`` tally of a RunReport's events section)
+        self.streams_closed = 0
         #: optional :class:`repro.metrics.telemetry.RunTelemetry`; the
         #: profiler is mirrored into ``_profiler`` so the step loop's
         #: guard is a hoisted-local None check (attach_telemetry)
@@ -190,36 +197,54 @@ class Kernel:
 
     # -- observability ------------------------------------------------------
 
+    def observe(self, observer):
+        """Attach (and return) a quantum-boundary observer.
+
+        The kernel calls ``observer.on_quantum_start(tid, depth, cycle,
+        switch_cost)`` after every dispatch, ``on_quantum_end(tid,
+        exit_code, cycle, min_depth, max_depth)`` when the quantum ends
+        in a block, yield or retirement, and ``on_run_end(kernel,
+        cycle)`` once the run completes.  Cycle stamps are exact; the
+        exit code is one of :mod:`repro.runtime.batch`'s ``EXIT_*``.
+        Observers never select the step-granular loop: they fire from
+        every dispatch loop at quantum granularity (see
+        :mod:`repro.metrics.quanta`)."""
+        if observer not in self._observers:
+            self._observers += (observer,)
+        return observer
+
+    def unobserve(self, observer) -> None:
+        self._observers = tuple(o for o in self._observers
+                                if o is not observer)
+
     @property
     def tracker(self):
-        """Optional :class:`repro.metrics.behavior.BehaviorTracker`.
-
-        Assigning one subscribes it to the event bus (the legacy
-        hand-wired attribute is kept as this alias)."""
+        """Optional :class:`repro.metrics.behavior.BehaviorTracker`,
+        attached as a quantum-boundary observer when assigned."""
         return self._tracker
 
     @tracker.setter
     def tracker(self, tracker) -> None:
         if self._tracker is not None:
-            self.events.unsubscribe(self._tracker)
+            self.unobserve(self._tracker)
         self._tracker = tracker
         if tracker is not None:
-            self.events.subscribe(tracker)
+            self.observe(tracker)
 
     @property
     def timeline(self):
         """Optional :class:`repro.metrics.tracing.OccupancyTimeline`,
-        subscribed to the event bus when assigned."""
+        attached as a quantum-boundary observer when assigned."""
         return self._timeline
 
     @timeline.setter
     def timeline(self, timeline) -> None:
         if self._timeline is not None:
-            self.events.unsubscribe(self._timeline)
+            self.unobserve(self._timeline)
         self._timeline = timeline
         if timeline is not None:
             timeline.cpu = self.cpu
-            self.events.subscribe(timeline)
+            self.observe(timeline)
 
     def attach_telemetry(self, telemetry) -> None:
         """Arm aggregate metrics (:mod:`repro.metrics.telemetry`).
@@ -304,16 +329,22 @@ class Kernel:
 
     def _run_to_completion(self, max_steps: Optional[int]) -> RunResult:
         # The batched core needs every step hook to be dead: a step
-        # budget, the watchdog, fault injection and the invariant audit
-        # all observe (or perturb) individual steps, so those
-        # configurations run the step-granular compat loop instead —
-        # which is also the whole of the "generator" core.  Tracing is
-        # re-checked per quantum because a subscriber may attach
-        # mid-run.
+        # budget, the watchdog, fault injection, the invariant audit and
+        # event-bus tracing all observe (or perturb) individual steps,
+        # so those configurations run the step-granular loop
+        # (_run_quantum) instead.  Tracing is re-checked per quantum
+        # because a subscriber may attach mid-run.  Quantum-boundary
+        # observers do not count: they fire from every loop, but the
+        # compiled twin has no hook sites, so observed runs take the
+        # pure batched loop.
         batchable = (self.core == "batched" and max_steps is None
                      and self._watchdog is None and self.faults is None
                      and not self.audit)
         fast = self._fast
+        if fast is not None and self._observers and self._compiled_requested:
+            from repro.runtime import backend as backend_mod
+
+            backend_mod.warn_observed_fallback()
         while True:
             if self.current is None:
                 if not self.ready:
@@ -326,7 +357,7 @@ class Kernel:
                 # Runs quanta back-to-back (dispatch included) until
                 # everything is done/blocked or tracing comes alive;
                 # the loop here re-checks deadlock and tracing.
-                if fast is not None:
+                if fast is not None and not self._observers:
                     fast.run_batched(self)
                 else:
                     self._run_batched()
@@ -336,6 +367,10 @@ class Kernel:
                 raise RuntimeFault("step budget of %d exceeded" % max_steps)
         if self._tracing:
             self.events.emit("run_end")
+        if self._observers:
+            cycle = self.counters.total_cycles
+            for observer in self._observers:
+                observer.on_run_end(self, cycle)
         self.counters.fold_thread_stats(t.windows for t in self.threads)
         return RunResult(self.counters, list(self.threads), self._steps,
                          list(self.ready.slackness_samples))
@@ -406,6 +441,7 @@ class Kernel:
         assert out is not thread, "self-switch should be impossible"
         out_tw = out.windows if out is not None else None
         flush = out.flush_on_switch if out is not None else False
+        switched_from = self.counters.switch_cycles
         self.scheme.context_switch(out_tw, thread.windows, flush_out=flush)
         self.last_suspended = None
         self.current = thread
@@ -417,8 +453,30 @@ class Kernel:
         if self._tracing:
             self.events.emit("dispatch", tid=thread.tid,
                              depth=thread.windows.depth)
+        if self._observers:
+            self._quantum_started(
+                thread, self.counters.switch_cycles - switched_from)
         if self.audit:
             self._audit()
+
+    def _quantum_started(self, thread: SimThread, switch_cost: int) -> None:
+        """Fire ``on_quantum_start`` (callers fold lazy cycles first)."""
+        cycle = self.counters.total_cycles
+        depth = thread.windows.depth
+        for observer in self._observers:
+            observer.on_quantum_start(thread.tid, depth, cycle, switch_cost)
+
+    def _quantum_ended(self, thread: SimThread, min_depth: int,
+                       max_depth: int) -> None:
+        """Fire ``on_quantum_end``; the exit kind follows from the state
+        the quantum left the thread in."""
+        state = thread.state
+        code = (EXIT_DONE if state == DONE else
+                EXIT_BLOCKED if state == BLOCKED else EXIT_YIELDED)
+        cycle = self.counters.total_cycles
+        for observer in self._observers:
+            observer.on_quantum_end(thread.tid, code, cycle, min_depth,
+                                    max_depth)
 
     def _audit(self) -> None:
         """Continuous invariant audit: the full geometry check after
@@ -433,11 +491,12 @@ class Kernel:
     # -- quantum execution ----------------------------------------------------------
 
     def _run_quantum(self, max_steps: Optional[int]) -> int:
-        """Step-granular quantum loop (the "generator" core, and the
-        batched core's compat path for configurations that need
-        per-step hooks: step budgets, watchdog, faults, audit,
-        tracing).  Runs the current thread until it blocks, yields or
-        finishes."""
+        """Step-granular quantum loop: the path for configurations
+        that need per-step hooks (step budgets, watchdog, faults,
+        audit, event-bus tracing) and the differential suite's
+        reference loop.  Runs the current thread until it blocks,
+        yields or finishes; quantum-boundary observers see the quantum
+        end exactly as the batched loop reports it."""
         thread = self.current
         assert thread is not None
         tw = thread.windows
@@ -447,6 +506,7 @@ class Kernel:
         watchdog = self._watchdog
         prof = self._profiler
         gen_stack = thread.gen_stack
+        low = high = tw.depth  # depth excursion of this quantum
         try:
             while True:
                 self._steps += 1
@@ -466,6 +526,8 @@ class Kernel:
                 if thread.pending is not None:
                     if not self._continue_pending(thread):
                         self._block(thread)
+                        if self._observers:
+                            self._quantum_ended(thread, low, high)
                         return EXIT_BLOCKED
                     self._progress += 1
                 gen = gen_stack[-1]
@@ -473,7 +535,11 @@ class Kernel:
                     cmd = gen.send(thread.resume_value)
                 except StopIteration as stop:
                     if self._handle_return(thread, getattr(stop, "value", None)):
+                        if self._observers:
+                            self._quantum_ended(thread, low, high)
                         return EXIT_DONE  # thread finished
+                    if tw.depth < low:
+                        low = tw.depth
                     continue
                 thread.resume_value = None
                 t = type(cmd)
@@ -482,6 +548,8 @@ class Kernel:
                     self._progress += 1
                 elif t is Call:
                     self._do_call(thread, cmd)
+                    if tw.depth > high:
+                        high = tw.depth
                 elif t is Read:
                     thread.pending = ("read", cmd.stream, cmd.max_bytes)
                 elif t is Write:
@@ -497,6 +565,8 @@ class Kernel:
                         self.ready.push_yielded(thread)
                         self.last_suspended = thread
                         self.current = None
+                        if self._observers:
+                            self._quantum_ended(thread, low, high)
                         return EXIT_YIELDED
                     # Nobody else to run: keep going, no switch, no cost.
                 elif t is FlushHint:
@@ -555,8 +625,12 @@ class Kernel:
 
         Only entered when every step-granular hook is dead (no step
         budget, watchdog, faults, audit or tracing — see
-        ``_run_to_completion``); the profiler and telemetry buffers
-        are quantum-granular and folded per batch.
+        ``_run_to_completion``); the profiler, the telemetry buffers
+        and the quantum-boundary observers are quantum-granular.  Each
+        quantum tracks its depth excursion in two locals (one compare
+        per call or return); the observers read it, together with the
+        exact cycle clock (the lazy cycle accumulators fold first), at
+        every dispatch and quantum exit.
         """
         cpu = self.cpu
         wf = cpu.wf
@@ -612,6 +686,7 @@ class Kernel:
                 # -- per-quantum accumulators (per-thread statistics) --
                 n_saves = 0        # -> tw.stat_saves (== thread.calls)
                 n_restores = 0     # -> tw.stat_restores (== thread.returns)
+                low = high = tw.depth  # depth excursion (observers)
                 resume = thread.resume_value
                 steps += 1         # the entry iteration (compat parity)
                 try:
@@ -776,23 +851,28 @@ class Kernel:
                             # (written before, read after).
                             regs[in_base[cwp]] = value
                             # -- WindowCPU.restore, inlined --
-                            if tw.depth <= 1:
+                            depth = tw.depth
+                            if depth <= 1:
                                 raise WindowGeometryError(
                                     "thread %d executed restore at "
-                                    "depth %d" % (tw.tid, tw.depth))
+                                    "depth %d" % (tw.tid, depth))
                             call_cycles += restore_cost
                             target = below[cwp]
                             if wim[target]:
                                 # Underflow: the in-place restore
                                 # (§3.2); the CWP does not move.
                                 handle_underflow(tw)
+                                depth = tw.depth
                             else:
                                 kinds[cwp] = FREE
                                 tids[cwp] = None
                                 wf.cwp = target
                                 tw.cwp = target
                                 tw.resident -= 1
-                                tw.depth -= 1
+                                depth -= 1
+                                tw.depth = depth
+                            if depth < low:
+                                low = depth
                             got = regs[out_base[wf.cwp]]
                             if verify and got is not value \
                                     and got != value:
@@ -833,7 +913,10 @@ class Kernel:
                             wf.cwp = target
                             tw.cwp = target
                             tw.resident += 1
-                            tw.depth += 1
+                            depth = tw.depth + 1
+                            tw.depth = depth
+                            if depth > high:
+                                high = depth
                             kinds[target] = FRAME
                             tids[target] = tw.tid
                             if verify:
@@ -847,9 +930,8 @@ class Kernel:
                                             "%r != %r"
                                             % (i, thread.name, got, a),
                                             thread=thread.name,
-                                            argument=i, depth=tw.depth)
-                                regs[ib + 8] = ("sig", thread.tid,
-                                                tw.depth)
+                                            argument=i, depth=depth)
+                                regs[ib + 8] = ("sig", thread.tid, depth)
                             gen = cmd.factory(*args)
                             gen_stack.append(gen)
                         elif t is Read_:
@@ -1065,6 +1147,18 @@ class Kernel:
                                 call_cycles = 0
                             prof._check(thread, None, counters)
                             prof_cd = prof._cd
+                # Quantum boundary seen by the observers: the cycle
+                # clock they read must be exact, so the lazy cycle
+                # accumulators fold first (observed runs only).
+                observed = self._observers
+                if observed:
+                    if compute:
+                        counters.compute_cycles += compute
+                        compute = 0
+                    if call_cycles:
+                        counters.call_cycles += call_cycles
+                        call_cycles = 0
+                    self._quantum_ended(thread, low, high)
                 # Dispatch the next thread without leaving the frame.
                 if self._tracing:
                     return  # a subscriber attached mid-run: compat loop
@@ -1077,6 +1171,8 @@ class Kernel:
                 nxt = popleft()
                 out = self.last_suspended
                 assert out is not nxt, "self-switch should be impossible"
+                if observed:
+                    switched_from = counters.switch_cycles
                 if out is not None:
                     context_switch(out.windows, nxt.windows,
                                    flush_out=out.flush_on_switch)
@@ -1089,6 +1185,9 @@ class Kernel:
                     nxt.start_root()
                     if verify:
                         cpu.write_local(0, ("sig", nxt.tid, 1))
+                if observed:
+                    self._quantum_started(
+                        nxt, counters.switch_cycles - switched_from)
         finally:
             self._steps += steps
             self._progress += progress
@@ -1259,6 +1358,8 @@ class Kernel:
             self.events.emit("block", tid=thread.tid, on=on, op=op)
 
     def _do_close(self, stream: Stream) -> None:
+        if not stream.closed and stream.events is not None:
+            self.streams_closed += 1
         stream.close()
         if stream.read_waiters:
             self._wake_readers(stream)

@@ -57,6 +57,24 @@ def test_no_cache_forces_execution(capsys):
     assert "0 cached (0%), 9 executed" in out
 
 
+def test_no_cache_runs_the_shared_grid_once(capsys, tmp_path):
+    """Figures 12 and 13 re-plot Figure 11's grid: under --no-cache one
+    invocation executes it once and serves the repeats from memory,
+    still writing nothing to disk."""
+    assert main(["all", "--scale", "0.01", "--windows", "4",
+                 "--jobs", "1", "--no-cache"]) == 0
+    out = capsys.readouterr().out
+    engine_lines = [line for line in out.splitlines()
+                    if line.startswith("engine: ")]
+    assert len(engine_lines) == 7
+    executed = sum(int(line.split(" executed")[0].rsplit(" ", 1)[1])
+                   for line in engine_lines)
+    assert executed == 6 + 3 + 3 * 9
+    assert out.rstrip().splitlines()[-1] == \
+        "report memo: 18 point(s) served from memory (--no-cache)"
+    assert not (tmp_path / "cache").exists()
+
+
 def test_unknown_target_rejected():
     with pytest.raises(SystemExit):
         main(["fig99"])

@@ -159,12 +159,15 @@ class TestKernelPublishing:
 
 
 class TestLegacyAliases:
-    def test_tracker_alias_subscribes(self):
+    def test_tracker_alias_observes_quanta(self):
+        """The tracker observes quantum boundaries; it no longer
+        subscribes to the bus (which would select the step loop)."""
         kernel = Kernel(n_windows=8, scheme="SP")
         tracker = BehaviorTracker()
         kernel.tracker = tracker
         assert kernel.tracker is tracker
-        assert kernel.events.active
+        assert not kernel.events.active
+        assert tracker in kernel._observers
         stream = kernel.stream(2, "s")
         kernel.spawn(_producer, stream, 20, name="p")
         kernel.spawn(_consumer, stream, name="c")
@@ -192,9 +195,10 @@ class TestLegacyAliases:
         kernel.tracker = second
         kernel.tracker = None
         assert kernel.events.active is False
+        assert kernel._observers == ()
 
     def test_tracker_matches_hand_wired_semantics(self):
-        """Bus-fed quanta must equal what the old direct hooks
+        """Hook-fed quanta must equal what the old direct hooks
         produced: one quantum per dispatch, closed at run end."""
         kernel = Kernel(n_windows=8, scheme="SP")
         tracker = BehaviorTracker()

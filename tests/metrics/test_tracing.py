@@ -117,3 +117,75 @@ class TestRendering:
         text = timeline.render()
         assert "0" in text or "1" in text
         assert "." in text
+
+
+class TestCompactSamples:
+    """Samples keep the window map's kind/owner columns; every analysis
+    must equal the glyph-based reference, including owners whose
+    glyphs wrap (tid >= 26 for PRWs, >= 36 for frames)."""
+
+    @staticmethod
+    def _random_timeline(seed, n_windows=7, n_samples=300, max_tid=90):
+        import random
+        from types import SimpleNamespace
+
+        from repro.windows.occupancy import WindowMap
+
+        rng = random.Random(seed)
+        wmap = WindowMap(n_windows)
+        cpu = SimpleNamespace(map=wmap)
+        timeline = OccupancyTimeline(max_samples=64)
+        for cycle in range(n_samples):
+            for __ in range(rng.randrange(3)):
+                w = rng.randrange(n_windows)
+                pick = rng.randrange(4)
+                tid = rng.choice((0, 1, 26, 27, 36, 37, 62,
+                                  rng.randrange(max_tid)))
+                if pick == 0:
+                    wmap.set_free(w)
+                elif pick == 1:
+                    wmap.set_reserved(w, None)
+                elif pick == 2:
+                    wmap.set_reserved(w, tid)
+                else:
+                    wmap.set_frame(w, tid)
+            timeline.snapshot(cpu, cycle % 5, cycle)
+        return timeline
+
+    @staticmethod
+    def _reference(timeline):
+        from repro.metrics.tracing import _FRAME_GLYPHS
+
+        rows = [s.cells for s in timeline.samples]
+        n = timeline.n_windows
+        frames = sum(sum(1 for c in r if c in _FRAME_GLYPHS) for r in rows)
+        changed = sum(sum(1 for a, b in zip(p, c) if a != b)
+                      for p, c in zip(rows, rows[1:]))
+        owners = [len({c for r in rows for c in [r[w]]
+                       if c in _FRAME_GLYPHS}) for w in range(n)]
+        return (frames / (len(rows) * n),
+                changed / ((len(rows) - 1) * n), owners)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_analyses_match_glyph_reference(self, seed):
+        timeline = self._random_timeline(seed)
+        ratio, churn, owners = self._reference(timeline)
+        assert timeline.occupancy_ratio() == ratio
+        assert timeline.churn() == churn
+        assert [timeline.distinct_owners(w)
+                for w in range(timeline.n_windows)] == owners
+        assert timeline.dropped > 0  # decimation exercised
+
+    def test_cells_and_render_use_glyphs(self):
+        timeline = self._random_timeline(3)
+        sample = timeline.samples[0]
+        assert len(sample.cells) == timeline.n_windows
+        assert isinstance(sample.kinds, tuple)
+        assert isinstance(sample.tids, tuple)
+        lines = timeline.render(max_columns=10, legend=False).splitlines()
+        assert len(lines) == timeline.n_windows
+        step = len(timeline.samples) / 10
+        columns = [timeline.samples[int(i * step)].cells
+                   for i in range(10)]
+        for w, line in enumerate(lines):
+            assert line[4:] == "".join(col[w] for col in columns)

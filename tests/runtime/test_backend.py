@@ -138,6 +138,32 @@ class TestFallback:
         assert kernel._fast is None
 
 
+    @needs_compiled
+    def test_observed_run_takes_pure_loop_with_one_warning(self):
+        from repro.metrics.behavior import BehaviorTracker
+
+        kernel = Kernel(backend="compiled")
+        kernel.tracker = BehaviorTracker()
+        tick_workload(kernel)
+        with pytest.warns(RuntimeWarning, match="observers") as caught:
+            kernel.run()
+        assert len(caught) == 1
+        assert kernel.threads[0].result == "ok"
+        assert len(kernel.tracker.quanta) == 1
+
+    @needs_compiled
+    def test_observed_run_silent_without_explicit_request(self):
+        from repro.metrics.behavior import BehaviorTracker
+
+        kernel = Kernel()
+        kernel.tracker = BehaviorTracker()
+        tick_workload(kernel)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            kernel.run()
+        assert len(kernel.tracker.quanta) == 1
+
+
 class TestGeneratorRetirement:
     def test_public_constructor_rejects_generator(self):
         with pytest.raises(ValueError, match="retired"):

@@ -1,0 +1,41 @@
+"""Test-only reference oracle for RunReports: the event-bus observers.
+
+RunReports are built from quantum-boundary observers
+(:func:`repro.experiments.harness.attach_report_observers`), which keep
+the run on the batched loop.  Before that, every report came from three
+event-bus subscribers — a :class:`~repro.metrics.events.TraceRecorder`
+for the ``events`` section, and the tracker and timeline consuming
+``dispatch``/``save``/``restore``/``run_end`` events — which select the
+step-granular loop and see every single event.  This module keeps that
+path as the oracle the differential report test compares against.
+"""
+
+from __future__ import annotations
+
+from typing import Dict
+
+from repro.experiments import harness
+from repro.metrics.behavior import BehaviorTracker
+from repro.metrics.tracing import OccupancyTimeline
+
+
+def attach_bus_observers(kernel) -> Dict[str, object]:
+    """The pre-hook report observers, all subscribed to the bus."""
+    tracker = BehaviorTracker()
+    timeline = OccupancyTimeline()
+    timeline.cpu = kernel.cpu
+    kernel.events.subscribe(tracker)
+    kernel.events.subscribe(timeline)
+    return {"recorder": kernel.enable_tracing(), "tracker": tracker,
+            "timeline": timeline}
+
+
+def oracle_report_point(*args, **kwargs) -> Dict:
+    """:func:`repro.experiments.harness.run_report_point` with the
+    report built from the event bus instead of quantum boundaries."""
+    hook = harness.attach_report_observers
+    harness.attach_report_observers = attach_bus_observers
+    try:
+        return harness.run_report_point(*args, **kwargs)
+    finally:
+        harness.attach_report_observers = hook
