@@ -2,7 +2,8 @@
 
 No throughput thresholds here — wall-clock assertions are flaky under
 CI load.  The regression gate is the separate ``bench`` CI job running
-``python -m benchmarks.perf --check`` against ``BENCH_5.json``.
+``python -m benchmarks.perf --check`` against the newest baseline
+measured on the pure runtime (``BENCH_7.json``).
 """
 
 import json
@@ -11,6 +12,7 @@ from benchmarks.perf.bench import (
     SCHEMA_NAME,
     SCHEMA_VERSION,
     check_against_baseline,
+    latest_matching_baseline,
     run_suite,
 )
 
@@ -48,3 +50,23 @@ def test_check_flags_regressions_only():
     faster["spellcheck_steps_per_sec"] = (
         doc["spellcheck_steps_per_sec"] * 2.0)
     assert check_against_baseline(faster, doc, tolerance=0.2) == []
+
+
+def test_baseline_skips_newer_compiled_documents(tmp_path):
+    """Compiled-backend documents are history, never a baseline."""
+    def write(n, settings):
+        doc = {"schema": SCHEMA_NAME, "version": SCHEMA_VERSION,
+               "bench_id": "BENCH_%d" % n, "settings": settings,
+               "spellcheck_steps_per_sec": 1000.0 * n}
+        (tmp_path / ("BENCH_%d.json" % n)).write_text(json.dumps(doc))
+
+    write(3, {})  # predates backend records: pure
+    write(4, {"backend": "compiled"})
+    path, doc = latest_matching_baseline(tmp_path)
+    assert path == tmp_path / "BENCH_3.json"
+    assert doc["bench_id"] == "BENCH_3"
+
+    write(5, {"backend": "pure"})
+    path, __ = latest_matching_baseline(tmp_path)
+    assert path == tmp_path / "BENCH_5.json"
+

@@ -1,35 +1,9 @@
-"""Build glue for the optional compiled backend (``repro._fast``).
+"""Legacy build shim: all metadata lives in ``pyproject.toml``.
 
-A plain ``pip install -e .`` stays a pure-Python no-op build — no
-compiler required.  The C extension is only wired in when explicitly
-requested, either via the environment gate::
-
-    REPRO_BUILD_FAST=1 pip install -e .
-
-or by invoking the build command directly::
-
-    python setup.py build_ext --inplace
-
-The extension is marked ``optional``: a missing/broken compiler fails
-the extension, not the install, and the runtime falls back to the
-pure-Python backend (see ``repro.runtime.backend``).
+Kept only for tools that still call ``setup.py`` directly
+(``python setup.py develop``, or editable installs with pip < 21.3).
 """
-
-import os
-import sys
 
 from setuptools import setup
 
-kwargs = {}
-if os.environ.get("REPRO_BUILD_FAST") or "build_ext" in sys.argv:
-    from setuptools import Extension
-
-    kwargs["ext_modules"] = [
-        Extension(
-            "repro._fast",
-            sources=["src/repro/_fastcore.c"],
-            optional=True,
-        )
-    ]
-
-setup(**kwargs)
+setup()

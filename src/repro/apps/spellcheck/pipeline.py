@@ -27,6 +27,7 @@ from repro.apps.spellcheck.corpus import (
 from repro.apps.spellcheck.delatex import delatex_thread
 from repro.apps.spellcheck.io_threads import file_sink_thread, file_source_thread
 from repro.apps.spellcheck.spell import spell1_thread, spell2_thread
+from repro.runtime.backend import select_backend
 from repro.runtime.kernel import Kernel, RunResult
 
 #: paper thread names, in spawn (and therefore initial FIFO) order
@@ -100,7 +101,6 @@ def run_spellchecker(n_windows: int, scheme: str, config: SpellConfig,
                      instrument=None, faults=None, audit: bool = False,
                      watchdog: Optional[int] = None, crash_dir=None,
                      crash_config=None,
-                     core: Optional[str] = None,
                      analyze: bool = False,
                      backend: Optional[str] = None,
                      ) -> Tuple[RunResult, bytes]:
@@ -119,16 +119,14 @@ def run_spellchecker(n_windows: int, scheme: str, config: SpellConfig,
     ``crash_dir`` is set and no explicit ``crash_config`` is given, a
     replayable workload description is embedded in any crash bundle.
 
-    ``core`` selects the execution core (see
-    :mod:`repro.runtime.batch`) — None picks up ``$REPRO_CORE`` or the
-    batched default.  ``backend`` selects the execution backend
-    ("compiled"/"pure"; see :mod:`repro.runtime.backend`) — None picks
-    up ``$REPRO_BACKEND`` or auto-detects.
+    ``backend`` accepts only None or ``"pure"``, the one runtime (see
+    :mod:`repro.runtime.backend`); anything else raises ``ValueError``.
 
     ``analyze`` runs the static stream-topology check
     (:mod:`repro.analysis.topology`) before the first step; a
     guaranteed deadlock raises ``AnalysisError`` instead of running.
     """
+    select_backend(backend)
     if crash_dir is not None and crash_config is None:
         crash_config = {
             "workload": "spellcheck", "scheme": scheme,
@@ -142,7 +140,7 @@ def run_spellchecker(n_windows: int, scheme: str, config: SpellConfig,
                     verify_registers=verify_registers,
                     faults=faults, audit=audit, watchdog=watchdog,
                     crash_dir=crash_dir, crash_config=crash_config,
-                    core=core, analyze=analyze, backend=backend)
+                    analyze=analyze)
     if instrument is not None:
         instrument(kernel)
     build_spellchecker(kernel, config)

@@ -7,8 +7,7 @@ Schema (``repro.crash-bundle`` version 2)::
       "schema": "repro.crash-bundle",
       "version": 2,
       "error":     {"type", "message", "context"},
-      "config":    {...the kernel's crash_config: workload + knobs,
-                    incl. the execution "core" the crash ran under...},
+      "config":    {...the kernel's crash_config: workload + knobs...},
       "fault_plan": FaultPlan payload | null,
       "machine":   {"scheme", "n_windows", "cwp", "wim", "occupancy",
                     "windows": [{"ins", "locals"}, ...]},
@@ -24,11 +23,11 @@ Schema (``repro.crash-bundle`` version 2)::
                       replay-identity of the bundle)
     }
 
-Version 2 records the execution core (``config["core"]``) the crash
-was captured under; replay reruns under that exact core, so a
-step-granular fault run can never silently diverge onto a different
-core (e.g. after the generator core retires).  Version 1 bundles
-(no recorded core) still load and replay under the ambient default.
+Version-2 bundles written before the runtime had a single execution
+loop also carry ``config["core"]`` (``"batched"`` or ``"generator"``).
+The field still loads and is carried through replay unchanged, but
+nothing reads it and new bundles omit it: a bundle-producing run always
+takes the step-granular loop.  Version-1 bundles load the same way.
 
 Bundles contain no timestamps or host state, so a deterministic
 workload + the embedded seed/plan reproduce the identical bundle
@@ -137,11 +136,8 @@ def build_crash_bundle(error: BaseException, kernel,
     events = ([_jsonable(e.to_dict()) for e in flight.tail()]
               if flight is not None else [])
 
-    # v2: the execution core is part of the replay identity — a crash
-    # captured on the step-granular path must rerun there.
     config_doc = dict(config if config is not None
                       else kernel.crash_config)
-    config_doc.setdefault("core", kernel.core)
 
     return {
         "schema": BUNDLE_SCHEMA,
@@ -230,8 +226,8 @@ def rerun_bundle_workload(config: Dict[str, Any],
                           plan: Optional[FaultPlan],
                           crash_dir) -> None:
     """Re-execute the workload a bundle describes — same config, same
-    plan, same execution core; any crash lands a bundle in
-    ``crash_dir``.  Raises whatever the run raises."""
+    plan; any crash lands a bundle in ``crash_dir``.  Raises whatever
+    the run raises."""
     from repro.faults.inject import FaultInjector
     from repro.faults.workloads import run_workload
 

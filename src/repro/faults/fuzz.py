@@ -1,5 +1,5 @@
 """The adversarial workload fuzzer: seeded random fault plans x random
-synthetic workloads x NS/SNP/SP x both execution cores.
+synthetic workloads x NS/SNP/SP.
 
 Each trial derives its own RNG from ``(seed, trial index)`` — the
 whole campaign is a pure function of the seed, so a CI failure names
@@ -32,7 +32,6 @@ from repro.faults.inject import FaultInjector
 from repro.faults.minimize import MinimizeResult, minimize_bundle
 from repro.faults.plan import FAULT_KINDS, FaultPlan, FaultSpec
 from repro.faults.workloads import WORKLOADS, run_workload
-from repro.runtime.batch import CORES
 
 DEFAULT_TRIALS = 25
 DEFAULT_SEED = 1993
@@ -52,7 +51,6 @@ class FuzzTrial:
     workload: str
     scheme: str
     n_windows: int
-    core: str
     plan: FaultPlan
     config: dict = field(default_factory=dict)
     outcome: str = "survived"  # survived | detected | rejected | unexpected
@@ -62,9 +60,9 @@ class FuzzTrial:
     detail: str = ""
 
     def describe(self) -> str:
-        text = ("trial %02d %-22s %-3s w%d %-9s faults=%s -> %s"
+        text = ("trial %02d %-22s %-3s w%d faults=%s -> %s"
                 % (self.index, self.workload, self.scheme,
-                   self.n_windows, self.core,
+                   self.n_windows,
                    ",".join(s.describe() for s in self.plan.specs),
                    self.outcome))
         if self.error_type:
@@ -125,11 +123,10 @@ class FuzzReport:
 def draw_trial(seed: int, index: int,
                workloads: Sequence[str],
                schemes: Sequence[str] = DEFAULT_SCHEMES,
-               cores: Sequence[str] = CORES,
                trial_budget: int = DEFAULT_TRIAL_BUDGET) -> FuzzTrial:
     """The deterministic draw for trial ``index`` of campaign ``seed``:
-    workload + params, scheme, window count, execution core, and a
-    random 1–3 spec fault plan."""
+    workload + params, scheme, window count, and a random 1–3 spec
+    fault plan."""
     rng = random.Random("repro-fuzz:%s:%d" % (seed, index))
     name = rng.choice(sorted(workloads))
     workload = WORKLOADS[name]
@@ -137,7 +134,6 @@ def draw_trial(seed: int, index: int,
         "workload": name,
         "scheme": rng.choice(tuple(schemes)),
         "n_windows": rng.choice((4, 6, 8)),
-        "core": rng.choice(tuple(cores)),
         "verify_registers": True,
         "audit": True,
         "watchdog": 50_000,
@@ -153,7 +149,7 @@ def draw_trial(seed: int, index: int,
     return FuzzTrial(index=index, workload=name,
                      scheme=config["scheme"],
                      n_windows=config["n_windows"],
-                     core=config["core"], plan=plan, config=config)
+                     plan=plan, config=config)
 
 
 def _prevalidate(trial: FuzzTrial) -> bool:
@@ -181,7 +177,6 @@ def run_fuzz(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
              out_dir="fuzz-out",
              workloads: Optional[Sequence[str]] = None,
              schemes: Sequence[str] = DEFAULT_SCHEMES,
-             cores: Sequence[str] = CORES,
              minimize: bool = True,
              trial_budget: int = DEFAULT_TRIAL_BUDGET,
              log: Optional[Callable[[str], None]] = None) -> FuzzReport:
@@ -194,7 +189,7 @@ def run_fuzz(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
     report = FuzzReport(seed=seed)
     for index in range(trials):
         trial = draw_trial(seed, index, names, schemes=schemes,
-                           cores=cores, trial_budget=trial_budget)
+                           trial_budget=trial_budget)
         if not _prevalidate(trial):
             report.trials.append(trial)
             if log is not None:

@@ -3,9 +3,9 @@ embed, keyed by the ``workload`` field of its config.
 
 A bundle's ``config`` dict is the *complete* description of the run
 that crashed — workload name, workload parameters, and the kernel
-knobs (scheme, windows, verification, audit, watchdog, execution core,
-step budget).  :func:`run_workload` turns such a config back into a
-live run, which is what replay, delta-debugging minimization
+knobs (scheme, windows, verification, audit, watchdog, step budget).
+:func:`run_workload` turns such a config back into a live run, which
+is what replay, delta-debugging minimization
 (:mod:`repro.faults.minimize`) and the fuzzer
 (:mod:`repro.faults.fuzz`) all build on.
 
@@ -210,20 +210,16 @@ def run_workload(config: Dict[str, Any], faults=None, crash_dir=None,
 
     ``config`` supplies both the workload parameters and the kernel
     knobs; ``faults`` is an armed :class:`FaultInjector` (or None).
-    The run executes under the config's recorded execution ``core`` —
-    an explicit core always beats ``$REPRO_CORE``, so a bundle
-    captured on the step-granular path can never silently replay on a
-    different core.  Bundles recorded before the ``"generator"`` core
-    retired from the public ``core=`` switch still replay on the
-    reference trampoline: the retired name maps to forcing the
-    step-granular loop on an otherwise-batched kernel.
+    A ``core`` key, which version-2 bundles once recorded, is read and
+    ignored: every bundle-producing run is step-granular (its crash
+    directory subscribes the flight recorder to the event bus), and
+    the step-granular and batched loops are bit-identical anyway.
 
     ``trial_budget`` caps steps *without* entering the config (the
     minimizer's runaway guard for candidate runs); a ``max_steps`` in
     the config itself is part of the replayed run and is recorded.
     Raises whatever the run raises.
     """
-    from repro.runtime.batch import RETIRED_GENERATOR_CORE
     from repro.runtime.kernel import Kernel
 
     workload = get_workload(str(config.get("workload")))
@@ -231,8 +227,6 @@ def run_workload(config: Dict[str, Any], faults=None, crash_dir=None,
     if trial_budget is not None:
         max_steps = (trial_budget if max_steps is None
                      else min(max_steps, trial_budget))
-    core = config.get("core")
-    reference = core == RETIRED_GENERATOR_CORE
     kernel = Kernel(
         n_windows=int(config.get("n_windows", 8)),
         scheme=str(config.get("scheme", "SP")),
@@ -241,13 +235,6 @@ def run_workload(config: Dict[str, Any], faults=None, crash_dir=None,
         audit=bool(config.get("audit", False)),
         watchdog=int(config.get("watchdog", 0)) or None,
         crash_dir=crash_dir,
-        crash_config=config,
-        core="batched" if reference else core)
-    if reference:
-        # recorded on the retired step-granular core: force the
-        # reference trampoline so the replay never silently runs on
-        # the batched path (bit-identical, but the bundle's recorded
-        # core is part of the reproduction recipe)
-        kernel.core = RETIRED_GENERATOR_CORE
+        crash_config=config)
     workload.build(kernel, config)
     return kernel.run(max_steps=max_steps)

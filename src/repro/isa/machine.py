@@ -32,6 +32,7 @@ from repro.isa.assembler import Program
 from repro.isa.instructions import ALU_OPS, Operand
 from repro.isa.registers import read_register, write_register
 from repro.metrics.counters import Counters
+from repro.runtime.backend import select_backend
 from repro.runtime.batch import EXIT_BUDGET, EXIT_DONE, EXIT_YIELDED
 from repro.windows.cpu import WindowCPU
 from repro.windows.thread_windows import ThreadWindows
@@ -94,6 +95,9 @@ class Machine:
                  analyze: bool = False,
                  thread_entries=("start",),
                  backend: Optional[str] = None):
+        # ``backend`` survives for callers of the two-backend API:
+        # None or "pure" (the one runtime), anything else raises
+        select_backend(backend)
         if analyze:
             # opt-in pre-run gate: structural verification (control
             # flow, depth balance, stale reads) before any execution;
@@ -119,10 +123,6 @@ class Machine:
         #: fetch loop's guard a single hoisted-local check
         self._profiler = None
         self.telemetry = None
-        from repro.runtime import backend as backend_mod
-        self.backend = backend_mod.select_backend(backend)
-        self._fast = (backend_mod.load_fast()
-                      if self.backend == "compiled" else None)
 
     def _build_dispatch(self) -> Dict[str, Callable]:
         """Precompute the opcode -> bound-handler table."""
@@ -226,13 +226,6 @@ class Machine:
         """
         thread = self.current
         assert thread is not None
-        if (self._fast is not None and self._profiler is None
-                and budget < (1 << 62)):
-            # Compiled twin of the loop below (bit-identical; pinned by
-            # tests/isa against this reference).  The per-op profiler
-            # hook needs the step-granular path, so a bound profiler
-            # keeps the run here.
-            return self._fast.machine_run(self, budget)
         instrs = self.program.instructions
         n_instrs = len(instrs)
         dispatch_get = self._dispatch.get

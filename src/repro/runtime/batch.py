@@ -1,22 +1,18 @@
-"""Batch-exit reason codes and core selection for the execution core.
+"""Batch-exit reason codes shared by the execution loops.
 
-The kernel runs each quantum through the ``"batched"`` run-until-event
-core: the current thread executes a straight-line batch of steps inside
-one Python frame (:meth:`repro.runtime.kernel.Kernel._run_batched`,
-which fuses the dispatch loop and the batch executor into one frame),
+The kernel runs each quantum on the batched run-until-event loop: the
+current thread executes a straight-line batch of steps inside one
+Python frame (:meth:`repro.runtime.kernel.Kernel._run_batched`, which
+fuses the dispatch loop and the batch executor into one frame),
 leaving the batch only on a *batch-exit event* — block, yield,
 completion — with cycle accounting and per-thread statistics folded
 once per batch instead of once per step.
 
-The step-granular generator trampoline
-(:meth:`repro.runtime.kernel.Kernel._run_quantum`) is no longer a
-public core choice: it survives as the batched core's compat path for
-configurations that need per-step hooks (fault injection, watchdog,
-audit, tracing, step budgets) and as the differential harness's
-reference loop (forced through ``tests/support/trampoline.py``, never
-through ``core=``).  Crash bundles recorded on the retired core still
-replay on it — :func:`repro.faults.workloads.run_workload` maps the
-recorded name to the reference loop.
+The step-granular loop (:meth:`repro.runtime.kernel.Kernel._run_quantum`)
+runs the configurations that need per-step hooks (fault injection,
+watchdog, audit, event-bus tracing, step budgets) and is the
+differential suite's reference loop (``tests/support/trampoline.py``
+forces it on a kernel).
 
 Both loops are required to be *bit-identical*: same counters, same
 per-thread statistics, same trace-event sequences, same step counts
@@ -30,8 +26,6 @@ same codes for its fetch-loop batches.
 """
 
 from __future__ import annotations
-
-import os
 
 #: thread blocked on a stream or a join — it left the CPU and sits on
 #: the waiter list of whatever it blocked on
@@ -49,38 +43,3 @@ EXIT_NAMES = {
     EXIT_DONE: "done",
     EXIT_BUDGET: "budget",
 }
-
-#: the public execution cores (order: default first)
-CORES = ("batched",)
-
-#: the retired step-granular core's name — still recognized (with a
-#: pointer error from :func:`resolve_core`, and a replay mapping in
-#: ``repro.faults.workloads``) but no longer constructible via ``core=``
-RETIRED_GENERATOR_CORE = "generator"
-
-#: environment override consulted when no explicit ``core=`` is given —
-#: how CI A/Bs a whole run (benchmarks, sweeps) without plumbing
-ENV_CORE = "REPRO_CORE"
-
-
-def resolve_core(core=None) -> str:
-    """Validate a ``core=`` choice, applying the env-var default.
-
-    An explicit argument wins; otherwise ``$REPRO_CORE`` is consulted,
-    and the batched core is the default.  The retired ``"generator"``
-    core gets a pointer error rather than the generic unknown-core one.
-    """
-    if core is None:
-        core = os.environ.get(ENV_CORE) or CORES[0]
-    if core == RETIRED_GENERATOR_CORE:
-        raise ValueError(
-            'the step-granular "generator" core was retired from the '
-            'public runtime; the batched core is bit-identical (the '
-            'reference trampoline remains available to the test suite '
-            'via tests/support/trampoline.py, and recorded crash '
-            'bundles still replay on it)')
-    if core not in CORES:
-        raise ValueError(
-            "unknown execution core %r; expected one of %s"
-            % (core, "/".join(CORES)))
-    return core

@@ -26,7 +26,6 @@ from repro.runtime.batch import (
     EXIT_BUDGET,
     EXIT_DONE,
     EXIT_YIELDED,
-    resolve_core,
 )
 from repro.runtime.errors import DeadlockError, LivelockError, RuntimeFault
 from repro.runtime.ops import (
@@ -94,37 +93,7 @@ class Kernel:
                  watchdog: Optional[int] = None,
                  crash_dir=None,
                  crash_config: Optional[dict] = None,
-                 core: Optional[str] = None,
-                 analyze: bool = False,
-                 backend: Optional[str] = None):
-        from repro.runtime import backend as backend_mod
-
-        #: execution core: "batched" (run-until-event, the default);
-        #: an explicit argument wins over the $REPRO_CORE override
-        self.core = resolve_core(core)
-        #: effective execution backend ("compiled"/"pure"); precedence
-        #: backend= kwarg > $REPRO_BACKEND > auto-detect, with graceful
-        #: fallback to pure when repro._fast is not built
-        requested = backend_mod.requested_backend(backend)
-        self._compiled_requested = requested == "compiled"
-        self.backend = backend_mod.select_backend(backend)
-        self._fast = (backend_mod.load_fast()
-                      if self.backend == "compiled" else None)
-        if self._fast is not None and (faults is not None or audit
-                                       or watchdog):
-            # These hooks observe individual steps, so such runs take
-            # the step-granular pure loop regardless of backend (the
-            # batchable gate below routes them); only an *explicit*
-            # compiled request warns about it.
-            if requested == "compiled":
-                needs = [name for name, on in (
-                    ("fault injection", faults is not None),
-                    ("invariant audit", audit),
-                    ("watchdog", bool(watchdog))) if on]
-                backend_mod.warn_step_granular_fallback(
-                    " + ".join(needs))
-            self.backend = "pure"
-            self._fast = None
+                 analyze: bool = False):
         self.counters = counters if counters is not None else Counters()
         self.cpu = WindowCPU(n_windows, cost_model, self.counters)
         kwargs = dict(scheme_kwargs or {})
@@ -328,23 +297,15 @@ class Kernel:
             raise
 
     def _run_to_completion(self, max_steps: Optional[int]) -> RunResult:
-        # The batched core needs every step hook to be dead: a step
+        # The batched loop needs every step hook to be dead: a step
         # budget, the watchdog, fault injection, the invariant audit and
         # event-bus tracing all observe (or perturb) individual steps,
         # so those configurations run the step-granular loop
         # (_run_quantum) instead.  Tracing is re-checked per quantum
         # because a subscriber may attach mid-run.  Quantum-boundary
-        # observers do not count: they fire from every loop, but the
-        # compiled twin has no hook sites, so observed runs take the
-        # pure batched loop.
-        batchable = (self.core == "batched" and max_steps is None
-                     and self._watchdog is None and self.faults is None
-                     and not self.audit)
-        fast = self._fast
-        if fast is not None and self._observers and self._compiled_requested:
-            from repro.runtime import backend as backend_mod
-
-            backend_mod.warn_observed_fallback()
+        # observers do not count: they fire from both loops.
+        batchable = (max_steps is None and self._watchdog is None
+                     and self.faults is None and not self.audit)
         while True:
             if self.current is None:
                 if not self.ready:
@@ -357,10 +318,7 @@ class Kernel:
                 # Runs quanta back-to-back (dispatch included) until
                 # everything is done/blocked or tracing comes alive;
                 # the loop here re-checks deadlock and tracing.
-                if fast is not None and not self._observers:
-                    fast.run_batched(self)
-                else:
-                    self._run_batched()
+                self._run_batched()
             else:
                 self._run_quantum(max_steps)
             if max_steps is not None and self._steps >= max_steps:
@@ -597,7 +555,7 @@ class Kernel:
                     prof._check(thread, None, counters)
 
     def _run_batched(self) -> None:
-        """The run-until-event core: dispatch loop plus batch executor
+        """The run-until-event loop: dispatch loop plus batch executor
         fused into one frame.
 
         Each thread's quantum executes as a straight-line batch of
@@ -617,10 +575,10 @@ class Kernel:
         ``finally``; per-thread statistics fold at each quantum
         boundary in the inner ``finally``.  Both folds run on
         exceptional exits too, so a window trap escaping mid-batch
-        leaves step and cycle counts exactly where the reference core
+        leaves step and cycle counts exactly where the reference loop
         would (crash-context identity).  Trap handlers and context
         switches run through the scheme exactly as in the reference
-        core; they touch only trap/switch counters, never the
+        loop; they touch only trap/switch counters, never the
         batch-local ones, so folding late is safe.
 
         Only entered when every step-granular hook is dead (no step

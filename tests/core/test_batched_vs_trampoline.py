@@ -1,17 +1,12 @@
-"""Differential equivalence harness: batched core vs the reference loop.
+"""Differential equivalence harness: batched loop vs the reference loop.
 
-The run-until-event core (``core="batched"``) must be *bit-identical*
-to the step-granular reference trampoline (the retired "generator"
-core, reachable only through ``tests.support.trampoline``): same step
-counts, same counters (including the switch/trap cycle sums and
-transfer histograms), same per-thread statistics, same trace record
-sequences, same thread results — across every scheme and window-file
-size.  The batched core itself has two *backends* — the pure-Python
-loop and the optional compiled twin (:mod:`repro._fast`) — and every
-comparison here runs on each backend that is built, so the compiled
-path is pinned against the same reference.  This suite drives every
-(core, backend) variant over the same workloads and compares full run
-snapshots:
+The run-until-event batched loop must be *bit-identical* to the
+step-granular reference loop (labelled "generator", reachable through
+``tests.support.trampoline``): same step counts, same counters
+(including the switch/trap cycle sums and transfer histograms), same
+per-thread statistics, same trace record sequences, same thread
+results — across every scheme and window-file size.  This suite drives
+both loops over the same workloads and compares full run snapshots:
 
 * deterministic synthetic apps (stream pipeline, spawn/join tree,
   line-oriented protocol) over NS/SNP/SP x {8, 32} windows;
@@ -39,16 +34,14 @@ from repro import (
     Write,
     YieldCPU,
 )
-from repro.runtime.backend import compiled_available
 from tests.support.trampoline import force_trampoline, make_kernel
 
 SCHEMES = ("NS", "SNP", "SP")
 WINDOW_SIZES = (8, 32)
-#: execution backends of the batched core to pin against the reference
-BACKENDS = ("pure",) + (("compiled",) if compiled_available() else ())
-#: every (core, backend) execution variant under test
-VARIANTS = (("generator", "pure"),) + tuple(
-    ("batched", backend) for backend in BACKENDS)
+#: both execution loops, reference first; the ids are the names these
+#: parameters have always carried, so test names stay put
+CORES = ("generator", "batched")
+CORE_IDS = ("generator-pure", "batched-pure")
 
 COUNTER_FIELDS = (
     "saves", "restores", "overflow_traps", "underflow_traps",
@@ -80,11 +73,10 @@ def snapshot(kernel, result, error):
     return snap
 
 
-def run_core(core, build, scheme, n_windows, keep_trace=True,
-             backend="pure", **kw):
+def run_core(core, build, scheme, n_windows, keep_trace=True, **kw):
     """Build a workload on a fresh kernel and run it to the end."""
     kernel = make_kernel(core=core, n_windows=n_windows, scheme=scheme,
-                         backend=backend, **kw)
+                         **kw)
     kernel.counters.keep_trace = keep_trace
     build(kernel)
     result = error = None
@@ -100,14 +92,12 @@ def run_core(core, build, scheme, n_windows, keep_trace=True,
 
 def assert_equivalent(build, scheme, n_windows, **kw):
     gen = run_core("generator", build, scheme, n_windows, **kw)
-    for backend in BACKENDS:
-        bat = run_core("batched", build, scheme, n_windows,
-                       backend=backend, **kw)
-        assert gen == bat, _diff(gen, bat, backend)
+    bat = run_core("batched", build, scheme, n_windows, **kw)
+    assert gen == bat, _diff(gen, bat)
 
 
-def _diff(gen, bat, backend):
-    lines = ["cores diverged (batched backend: %s):" % backend]
+def _diff(gen, bat):
+    lines = ["loops diverged:"]
     for key in gen:
         if gen[key] != bat[key]:
             lines.append("  %s:" % key)
@@ -249,21 +239,18 @@ def test_register_verification_on(scheme):
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_event_bus_traces_identical(scheme):
-    """With a live event-bus subscriber both cores take the
+    """With a live event-bus subscriber both loops take the
     step-granular path; the recorded event streams must still match
-    exactly under ``core="batched"`` on every backend."""
+    exactly on an ordinary kernel."""
 
-    def run_traced(core, backend="pure"):
-        kernel = make_kernel(core=core, n_windows=8, scheme=scheme,
-                             backend=backend)
+    def run_traced(core):
+        kernel = make_kernel(core=core, n_windows=8, scheme=scheme)
         recorder = kernel.enable_tracing()
         build_pipeline(kernel)
         kernel.run()
         return [(e.kind, e.cycle, e.tid, e.attrs) for e in recorder]
 
-    reference = run_traced("generator")
-    for backend in BACKENDS:
-        assert reference == run_traced("batched", backend)
+    assert run_traced("generator") == run_traced("batched")
 
 
 # -- hypothesis-driven random programs -----------------------------------
@@ -356,9 +343,9 @@ GOLDEN_PIPELINE = {
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-@pytest.mark.parametrize("core,backend", VARIANTS)
-def test_golden_pipeline_pins(scheme, core, backend):
-    snap = run_core(core, build_pipeline, scheme, 8, backend=backend)
+@pytest.mark.parametrize("core", CORES, ids=CORE_IDS)
+def test_golden_pipeline_pins(scheme, core):
+    snap = run_core(core, build_pipeline, scheme, 8)
     counters = snap["counters"]
     total = (counters["compute_cycles"] + counters["call_cycles"]
              + counters["trap_cycles"] + counters["switch_cycles"])
@@ -375,28 +362,27 @@ GOLDEN_SPELLCHECK = {
 }
 
 
-def run_spell(scheme, n_windows, config, core, backend):
-    """``run_spellchecker`` on one (core, backend) execution variant.
+def run_spell(scheme, n_windows, config, core):
+    """``run_spellchecker`` on one execution loop.
 
-    The reference variant rides the ``instrument`` hook: the pipeline
-    builds a batched kernel and the hook pins it to the step-granular
-    trampoline before any thread spawns.
+    The reference loop rides the ``instrument`` hook: the pipeline
+    builds an ordinary kernel and the hook pins it to the step-granular
+    loop before any thread spawns.
     """
     from repro.apps.spellcheck.pipeline import run_spellchecker
 
     instrument = force_trampoline if core == "generator" else None
-    return run_spellchecker(
-        n_windows, scheme, config, backend=backend,
-        instrument=instrument)
+    return run_spellchecker(n_windows, scheme, config,
+                            instrument=instrument)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-@pytest.mark.parametrize("core,backend", VARIANTS)
-def test_golden_spellcheck_pins(scheme, core, backend):
+@pytest.mark.parametrize("core", CORES, ids=CORE_IDS)
+def test_golden_spellcheck_pins(scheme, core):
     from repro.apps.spellcheck.pipeline import SpellConfig
 
     config = SpellConfig.named("low", "medium", scale=0.05)
-    result, output = run_spell(scheme, 8, config, core, backend)
+    result, output = run_spell(scheme, 8, config, core)
     assert (result.steps,
             result.counters.context_switches) == GOLDEN_SPELLCHECK[scheme]
     assert output  # the pipeline actually produced corrections
@@ -409,16 +395,14 @@ def test_spellcheck_bit_identical(scheme, n_windows):
 
     config = SpellConfig.named("high", "medium", scale=0.05)
     runs = {}
-    for core, backend in VARIANTS:
-        result, output = run_spell(scheme, n_windows, config, core, backend)
+    for core in CORES:
+        result, output = run_spell(scheme, n_windows, config, core)
         c = result.counters
-        runs[core, backend] = (
+        runs[core] = (
             result.steps, output,
             {f: getattr(c, f) for f in COUNTER_FIELDS},
             dict(c.switch_transfer_hist),
             sorted((t.name, t.windows.stat_saves, t.windows.stat_restores,
                     t.windows.stat_switches) for t in result.threads),
         )
-    reference = runs["generator", "pure"]
-    for backend in BACKENDS:
-        assert runs["batched", backend] == reference, backend
+    assert runs["batched"] == runs["generator"]

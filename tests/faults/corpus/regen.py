@@ -6,9 +6,9 @@ resulting bundle.  The corpus is the acceptance fixture for the
 delta-debugging minimizer: ``tests/faults/test_minimize_corpus.py``
 asserts every bundle replays bit-for-bit and shrinks to <=2 specs.
 
-Bundles are deterministic (no timestamps, content-addressed names,
-explicit execution core), so rerunning this script after a
-behaviour-preserving change reproduces the identical files::
+Bundles are deterministic (no timestamps, content-addressed names),
+so rerunning this script after a behaviour-preserving change
+reproduces the identical files::
 
     PYTHONPATH=src python tests/faults/corpus/regen.py
 """
@@ -21,8 +21,9 @@ from repro.faults import FaultInjector, FaultPlan, run_workload
 
 CORPUS_DIR = pathlib.Path(__file__).resolve().parent
 
-#: (bundle config, over-specified plan text, plan seed) per case;
-#: every config pins ``core`` so the bundle is ambient-independent
+#: (bundle config, over-specified plan text, plan seed) per case; the
+#: ``core`` keys are the old recorded field, kept so the committed
+#: bundles keep exercising it (nothing reads it)
 CASES = [
     # window-integrity corruption buried in 5 specs of chaff
     ({"workload": "spellcheck", "scheme": "SP", "n_windows": 6,

@@ -14,6 +14,7 @@ from repro.faults import (
     load_bundle,
     replay_bundle,
 )
+from repro.faults.bundle import bundle_to_json
 from repro.runtime import DeadlockError, Read
 from repro.runtime.kernel import Kernel
 from repro.windows.errors import WindowIntegrityError
@@ -150,31 +151,28 @@ class TestValidation:
 
 
 class TestCoreRecording:
-    """v2 bundles capture the execution core and replay under it."""
+    """Version-2 bundles once recorded the execution core in
+    ``config["core"]``: the old field is still read, new bundles omit
+    it."""
 
-    def test_bundle_records_execution_core(self, tmp_path,
-                                           execution_core):
+    def test_new_bundles_omit_core(self, tmp_path):
         exc = crash(tmp_path)
         bundle = load_bundle(exc.bundle_path)
-        assert bundle["config"]["core"] == execution_core
+        assert "core" not in bundle["config"]
 
-    def test_replay_sticks_to_recorded_core(self, tmp_path,
-                                            execution_core,
-                                            monkeypatch):
-        """A bundle captured under one core must replay under that
-        core even when the ambient ``$REPRO_CORE`` says otherwise —
-        the recorded core is part of the replay identity.  The ambient
-        value here is the *retired* generator name, which would raise
-        if the replay ever consulted it."""
-        from repro.runtime.batch import ENV_CORE, RETIRED_GENERATOR_CORE
-
+    def test_replay_sticks_to_recorded_core(self, tmp_path):
+        """A bundle carrying the old field, with either value it was
+        ever written with, replays bit-for-bit and keeps the field."""
         exc = crash(tmp_path / "orig")
-        monkeypatch.setenv(ENV_CORE, RETIRED_GENERATOR_CORE)
-        matched, new_path, detail = replay_bundle(
-            exc.bundle_path, workdir=tmp_path / "replay")
-        assert matched, detail
-        bundle = load_bundle(new_path)
-        assert bundle["config"]["core"] == execution_core
+        doc = json.loads(exc.bundle_path.read_text())
+        for core in ("batched", "generator"):
+            doc["config"]["core"] = core
+            old = tmp_path / ("%s.json" % core)
+            old.write_text(bundle_to_json(doc))
+            matched, new_path, detail = replay_bundle(
+                old, workdir=tmp_path / core)
+            assert matched, detail
+            assert load_bundle(new_path)["config"]["core"] == core
 
     def test_v1_bundle_without_core_still_loads(self, tmp_path):
         """Version-1 bundles (no recorded core) predate the field and
@@ -182,7 +180,6 @@ class TestCoreRecording:
         exc = crash(tmp_path)
         doc = json.loads(exc.bundle_path.read_text())
         doc["version"] = 1
-        del doc["config"]["core"]
         old = tmp_path / "v1.json"
         old.write_text(json.dumps(doc))
         bundle = load_bundle(old)

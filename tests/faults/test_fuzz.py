@@ -6,7 +6,6 @@ import pytest
 from repro.faults import FuzzReport, draw_trial, run_fuzz
 from repro.faults.fuzz import FuzzTrial
 from repro.faults.plan import FaultPlan
-from repro.runtime.batch import ENV_CORE
 
 #: a seed/trial window known (by construction, any works) to include
 #: both survived and detected outcomes — see test_smoke_mixes_outcomes
@@ -17,10 +16,8 @@ ALL_WORKLOADS = None  # default registry
 
 
 @pytest.fixture(autouse=True, params=["batched"])
-def execution_core(request, monkeypatch):
-    """Fuzz trials draw their own execution core per trial; pin the
-    ambient env so the suite-wide sweep does not double the cost."""
-    monkeypatch.setenv(ENV_CORE, request.param)
+def execution_core(request):
+    """Overrides the suite-wide fixture; the id keeps test names put."""
     return request.param
 
 
@@ -28,10 +25,8 @@ class TestDraws:
     def test_draw_is_deterministic(self):
         a = draw_trial(42, 3, ("spellcheck", "synthetic-ping-pong"))
         b = draw_trial(42, 3, ("spellcheck", "synthetic-ping-pong"))
-        assert (a.workload, a.scheme, a.n_windows, a.core,
-                a.plan, a.config) == \
-               (b.workload, b.scheme, b.n_windows, b.core,
-                b.plan, b.config)
+        assert (a.workload, a.scheme, a.n_windows, a.plan, a.config) == \
+               (b.workload, b.scheme, b.n_windows, b.plan, b.config)
 
     def test_different_indices_differ(self):
         draws = {draw_trial(42, i, ("spellcheck",)).plan
@@ -46,13 +41,12 @@ class TestDraws:
         assert trial.config["max_steps"] > 0
         assert 1 <= len(trial.plan.specs) <= 3
 
-    def test_draw_respects_core_and_scheme_filters(self):
+    def test_draw_respects_scheme_filter(self):
         for i in range(6):
             trial = draw_trial(7, i, ("synthetic-ping-pong",),
-                               schemes=("NS",), cores=("generator",))
+                               schemes=("NS",))
             assert trial.scheme == "NS"
-            assert trial.core == "generator"
-            assert trial.config["core"] == "generator"
+            assert "core" not in trial.config
 
 
 class TestCampaign:
@@ -122,7 +116,7 @@ class TestCampaign:
 
     def test_gate_requires_verified_minimization(self):
         trial = FuzzTrial(index=0, workload="w", scheme="SP",
-                          n_windows=4, core="batched",
+                          n_windows=4,
                           plan=FaultPlan(), outcome="detected")
         report = FuzzReport(seed=1, trials=[trial])
         assert not report.ok  # detected but never minimized

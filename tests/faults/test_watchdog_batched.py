@@ -1,8 +1,8 @@
-"""Watchdog + fault injection under the batched core's auto-fallback.
+"""Watchdog + fault injection under the batched loop's auto-fallback.
 
-``core="batched"`` with a watchdog or fault injector armed must drop
-onto the step-granular loop (the batch fast path has no per-step
-hooks), detect livelock exactly as the generator core does, capture a
+A kernel with a watchdog or fault injector armed must drop onto the
+step-granular loop (the batched loop has no per-step hooks), detect
+livelock exactly as the reference loop does, capture a
 replayable LivelockError bundle, and round-trip that bundle through
 the delta-debugging minimizer.
 """
@@ -19,16 +19,12 @@ from repro.faults import (
     run_workload,
 )
 from repro.runtime import LivelockError
-from repro.runtime.batch import ENV_CORE
 from tests.support.trampoline import make_kernel
 
 
 @pytest.fixture(autouse=True, params=["batched"])
-def execution_core(request, monkeypatch):
-    """Override the suite-wide two-core sweep: these tests pin the
-    ambient core to ``batched`` (the fallback under test) and reach
-    the reference trampoline via ``tests.support.trampoline``."""
-    monkeypatch.setenv(ENV_CORE, request.param)
+def execution_core(request):
+    """Overrides the suite-wide fixture; the id keeps test names put."""
     return request.param
 
 
@@ -43,7 +39,7 @@ def storm_kernel(core, watchdog=80, faults=None, **kwargs):
 
 STORM_CONFIG = {
     "workload": "synthetic-yield-storm",
-    "scheme": "SP", "n_windows": 4, "core": "batched",
+    "scheme": "SP", "n_windows": 4,
     "n_spinners": 2, "spins": 300,
     "verify_registers": True, "audit": False, "watchdog": 80,
 }
@@ -106,7 +102,6 @@ class TestLivelockBundle:
         assert exc.bundle_path is not None
         bundle = load_bundle(exc.bundle_path)
         assert bundle["error"]["type"] == "LivelockError"
-        assert bundle["config"]["core"] == "batched"
         matched, __, detail = replay_bundle(exc.bundle_path,
                                             workdir=tmp_path / "replay")
         assert matched, detail

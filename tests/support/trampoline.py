@@ -1,47 +1,45 @@
-"""Test-only access to the retired step-granular reference loop.
+"""Test-only access to the step-granular reference loop.
 
-The ``"generator"`` execution core is no longer a public ``core=``
-choice (see :func:`repro.runtime.batch.resolve_core`): the batched
-core is the runtime, and the step-granular trampoline
-(:meth:`repro.runtime.kernel.Kernel._run_quantum`) survives only as
+The kernel has one public execution path: ``Kernel._run_to_completion``
+runs the batched loop (``_run_batched``) and drops to the step-granular
+loop (``_run_quantum``) for configurations that need per-step hooks
+(fault injection, watchdog, audit, event-bus tracing, step budgets).
+That step-granular loop is also the differential suite's *reference
+loop*, which the batched loop is pinned bit-identical against.
 
-* the batched core's compat path for configurations that need
-  per-step hooks (fault injection, watchdog, audit, tracing, step
-  budgets), and
-* the differential harness's *reference loop* — what the batched and
-  compiled backends are pinned bit-identical against.
-
-This module is the one sanctioned way for tests to run a kernel on
-that reference loop.  It works by flipping the resolved ``core``
-attribute *after* construction, which makes
-``Kernel._run_to_completion`` treat every quantum as non-batchable and
-route it through ``_run_quantum`` — the exact step-granular path the
-runtime itself uses for fault-injected runs.
+This module is the one sanctioned way for tests to run a kernel on the
+reference loop.  :func:`force_trampoline` rebinds the instance's
+``_run_batched`` to run one quantum on the step loop, so every quantum
+takes the step-granular path the runtime itself uses for fault-injected
+runs, with no production attribute involved.
 """
 
 from __future__ import annotations
 
-from repro.runtime.batch import RETIRED_GENERATOR_CORE
+from functools import partial
+
 from repro.runtime.kernel import Kernel
 
-#: the name tests use to parameterize over {reference, batched}
-REFERENCE_CORE = RETIRED_GENERATOR_CORE
+#: the label tests use to parameterize over {reference, batched}
+#: (the step-granular loop's historical name, kept so test ids stay put)
+REFERENCE_CORE = "generator"
 
 
 def force_trampoline(kernel: Kernel) -> Kernel:
     """Pin an already-built kernel to the step-granular reference loop."""
-    kernel.core = REFERENCE_CORE
+    kernel._run_batched = partial(kernel._run_quantum, None)
     return kernel
 
 
 def make_kernel(core=None, **kwargs) -> Kernel:
-    """``Kernel(...)`` that still accepts ``core="generator"``.
+    """``Kernel(**kwargs)`` on the loop a test parameter names.
 
-    Drop-in for test fixtures that parameterize over execution cores:
-    the retired name builds a batched kernel and forces the reference
-    trampoline; anything else is passed through to ``Kernel`` (and
-    validated there).
+    ``"generator"`` forces the reference loop; ``None`` or
+    ``"batched"`` builds an ordinary kernel.
     """
+    if core not in (None, "batched", REFERENCE_CORE):
+        raise ValueError("unknown execution loop %r" % (core,))
+    kernel = Kernel(**kwargs)
     if core == REFERENCE_CORE:
-        return force_trampoline(Kernel(core="batched", **kwargs))
-    return Kernel(core=core, **kwargs)
+        force_trampoline(kernel)
+    return kernel
