@@ -14,6 +14,7 @@ from repro.analysis.linter import lint_paths
 from repro.analysis.report import AnalysisReport, merge_reports
 from repro.analysis.topology import analyze_workload_config
 from repro.analysis.verifier import ThreadSpec, verify_corpus, verify_program
+from repro.windows.errors import WindowGeometryError
 
 
 def _emit(report: AnalysisReport, as_json: bool) -> int:
@@ -32,6 +33,16 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    try:
+        return _check(args)
+    except WindowGeometryError as exc:
+        # a window file too small for the scheme: the same error
+        # ``Machine`` raises at construction, reported as a usage error
+        print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 2
+
+
+def _check(args: argparse.Namespace) -> int:
     reports: List[AnalysisReport] = []
     if args.corpus or not (args.files or args.workloads):
         reports.append(verify_corpus(

@@ -44,6 +44,11 @@ _CLOSE_OPS = (_ops.CloseStream,)
 #: interprocedural recursion limits (factories are shallow in practice)
 _MAX_DEPTH = 24
 
+#: an abstract value set, kept as an *ordered* may-set (dict keys in
+#: first-bound order) so the walk — and the stream numbering it yields —
+#: follows source and list order, never hash (heap address) order
+_Values = Dict[Any, None]
+
 
 class _Unresolved:
     __slots__ = ()
@@ -88,6 +93,7 @@ class ThreadNode:
     def __init__(self, name: str, factory_name: str):
         self.name = name
         self.factory_name = factory_name
+        #: stream indices (see ``TopologyGraph.streams``)
         self.reads: Set[int] = set()
         self.writes: Set[int] = set()
         self.closes: Set[int] = set()
@@ -98,9 +104,10 @@ class ThreadNode:
 class StreamNode:
     """One stream and the thread names on each side of it."""
 
-    def __init__(self, stream: Stream):
+    def __init__(self, stream: Stream, index: int):
         self.stream = stream
-        self.name = stream.name or ("stream@%x" % id(stream))
+        self.index = index
+        self.name = stream.name or ("stream#%d" % index)
         self.capacity = stream.capacity
         self.readers: Set[str] = set()
         self.writers: Set[str] = set()
@@ -112,17 +119,28 @@ class TopologyGraph:
 
     def __init__(self) -> None:
         self.threads: List[ThreadNode] = []
-        self.streams: Dict[int, StreamNode] = {}
+        #: every stream some thread touches, in first-seen order; a
+        #: stream's position is its index
+        self.streams: List[StreamNode] = []
+        #: ``id(stream)`` -> index; a lookup only (the nodes keep the
+        #: streams alive), never an order
+        self._index: Dict[int, int] = {}
 
     @property
     def partial(self) -> bool:
         return any(t.partial for t in self.threads)
 
+    def node_of(self, stream: Stream) -> Optional[StreamNode]:
+        """The node of ``stream``, or None if no thread touches it."""
+        index = self._index.get(id(stream))
+        return None if index is None else self.streams[index]
+
     def _stream_node(self, stream: Stream) -> StreamNode:
-        node = self.streams.get(id(stream))
+        node = self.node_of(stream)
         if node is None:
-            node = StreamNode(stream)
-            self.streams[id(stream)] = node
+            node = StreamNode(stream, len(self.streams))
+            self._index[id(stream)] = node.index
+            self.streams.append(node)
         return node
 
     def cycles(self) -> List[List[str]]:
@@ -137,8 +155,8 @@ class TopologyGraph:
         for t in self.threads:
             key = "t:" + t.name
             succ[key] = ["s:%d" % sid for sid in sorted(t.writes)]
-        for sid, s in self.streams.items():
-            succ["s:%d" % sid] = sorted("t:" + r for r in s.readers)
+        for s in self.streams:
+            succ["s:%d" % s.index] = sorted("t:" + r for r in s.readers)
 
         found: List[List[str]] = []
         seen_cycles: Set[Tuple[str, ...]] = set()
@@ -181,7 +199,7 @@ class TopologyGraph:
                 {"name": s.name, "capacity": s.capacity,
                  "readers": sorted(s.readers), "writers": sorted(s.writers),
                  "closers": sorted(s.closers)}
-                for __, s in sorted(self.streams.items())],
+                for s in self.streams],
             "cycles": self.cycles(),
             "partial": self.partial,
         }
@@ -209,9 +227,9 @@ def _function_ast(func) -> Optional[ast.FunctionDef]:
     return node
 
 
-def _bind_args(func, argsets: Sequence[Set[Any]]) -> Dict[str, Set[Any]]:
+def _bind_args(func, argsets: Sequence[_Values]) -> Dict[str, _Values]:
     """Map parameter names to abstract value sets, defaults included."""
-    env: Dict[str, Set[Any]] = {}
+    env: Dict[str, _Values] = {}
     try:
         params = list(inspect.signature(func).parameters.values())
     except (ValueError, TypeError):
@@ -219,15 +237,15 @@ def _bind_args(func, argsets: Sequence[Set[Any]]) -> Dict[str, Set[Any]]:
     i = 0
     for param in params:
         if param.kind == param.VAR_POSITIONAL:
-            env[param.name] = {tuple()}
+            env[param.name] = {tuple(): None}
             i = len(argsets)
         elif i < len(argsets):
-            env[param.name] = set(argsets[i])
+            env[param.name] = dict(argsets[i])
             i += 1
         elif param.default is not param.empty:
-            env[param.name] = {_box(param.default)}
+            env[param.name] = {_box(param.default): None}
         else:
-            env[param.name] = {UNRESOLVED}
+            env[param.name] = {UNRESOLVED: None}
     return env
 
 
@@ -250,34 +268,26 @@ class _Walker:
             pass
         return scope
 
-    def _resolve(self, expr: ast.expr, env: Dict[str, Set[Any]],
-                 scope: Dict[str, Any]) -> Set[Any]:
+    def _resolve(self, expr: ast.expr, env: Dict[str, _Values],
+                 scope: Dict[str, Any]) -> _Values:
         if isinstance(expr, ast.Name):
             if expr.id in env:
-                return set(env[expr.id])
+                return dict(env[expr.id])
             if expr.id in scope:
-                return {_box(scope[expr.id])}
-            return {UNRESOLVED}
+                return {_box(scope[expr.id]): None}
+            return {UNRESOLVED: None}
         if isinstance(expr, ast.Constant):
-            return {_box(expr.value)}
+            return {_box(expr.value): None}
         if isinstance(expr, ast.Subscript):
-            values = self._resolve(expr.value, env, scope)
-            out: Set[Any] = set()
-            for value in values:
-                value = _unbox(value)
-                if isinstance(value, (list, tuple)):
-                    out.update(_box(element) for element in value)
-                else:
-                    out.add(UNRESOLVED)
-            return out
+            return _elements(self._resolve(expr.value, env, scope))
         if isinstance(expr, (ast.List, ast.Tuple)):
-            out = set()
+            out: _Values = {}
             for element in expr.elts:
                 out.update(self._resolve(element, env, scope))
             return out
-        return {UNRESOLVED}
+        return {UNRESOLVED: None}
 
-    def _streams_of(self, expr: ast.expr, env: Dict[str, Set[Any]],
+    def _streams_of(self, expr: ast.expr, env: Dict[str, _Values],
                     scope: Dict[str, Any]) -> List[Stream]:
         values = [_unbox(v) for v in self._resolve(expr, env, scope)]
         streams = [v for v in values if isinstance(v, Stream)]
@@ -287,7 +297,7 @@ class _Walker:
 
     # -- the walk ----------------------------------------------------------
 
-    def walk(self, func, argsets: Sequence[Set[Any]], depth: int = 0) -> None:
+    def walk(self, func, argsets: Sequence[_Values], depth: int = 0) -> None:
         if depth > _MAX_DEPTH:
             self.thread.partial = True
             return
@@ -316,14 +326,7 @@ class _Walker:
         elif isinstance(stmt, ast.AugAssign):
             self._assigned(stmt.value, env, scope, depth)
         elif isinstance(stmt, ast.For):
-            iter_values = self._resolve(stmt.iter, env, scope)
-            elements: Set[Any] = set()
-            for value in iter_values:
-                value = _unbox(value)
-                if isinstance(value, (list, tuple)):
-                    elements.update(_box(element) for element in value)
-                else:
-                    elements.add(UNRESOLVED)
+            elements = _elements(self._resolve(stmt.iter, env, scope))
             self._bind_target(stmt.target, elements, env)
             for sub in stmt.body + stmt.orelse:
                 self._walk_stmt(sub, env, scope, depth)
@@ -342,14 +345,14 @@ class _Walker:
             if stmt.value is not None:
                 self._assigned(stmt.value, env, scope, depth)
 
-    def _bind_target(self, target: ast.expr, values: Set[Any], env) -> None:
+    def _bind_target(self, target: ast.expr, values: _Values, env) -> None:
         if isinstance(target, ast.Name):
-            env.setdefault(target.id, set()).update(values)
+            env.setdefault(target.id, {}).update(values)
         elif isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
-                self._bind_target(element, {UNRESOLVED}, env)
+                self._bind_target(element, {UNRESOLVED: None}, env)
 
-    def _assigned(self, expr: ast.expr, env, scope, depth: int) -> Set[Any]:
+    def _assigned(self, expr: ast.expr, env, scope, depth: int) -> _Values:
         """Visit an expression for yields; return its abstract value."""
         for node in ast.walk(expr):
             if isinstance(node, ast.Yield) and node.value is not None:
@@ -382,7 +385,7 @@ class _Walker:
         for stream in self._streams_of(call.args[0], env, scope):
             node = self.graph._stream_node(stream)
             getattr(node, side).add(self.thread.name)
-            getattr(self.thread, kind).add(id(stream))
+            getattr(self.thread, kind).add(node.index)
 
     def _follow_call(self, call: ast.Call, env, scope, depth: int) -> None:
         if not call.args:
@@ -415,6 +418,19 @@ class _Walker:
             self.thread.partial = True
 
 
+def _elements(values: _Values) -> _Values:
+    """Members of every list/tuple among ``values`` (in list order);
+    anything else is unresolved."""
+    out: _Values = {}
+    for value in values:
+        value = _unbox(value)
+        if isinstance(value, (list, tuple)):
+            out.update((_box(element), None) for element in value)
+        else:
+            out[UNRESOLVED] = None
+    return out
+
+
 def analyze_threads(threads: Iterable[Any]) -> TopologyGraph:
     """Build the graph from spawned threads (``.factory``/``.args``)."""
     graph = TopologyGraph()
@@ -424,7 +440,7 @@ def analyze_threads(threads: Iterable[Any]) -> TopologyGraph:
         node = ThreadNode(name, getattr(thread.factory, "__name__", "?"))
         graph.threads.append(node)
         _Walker(graph, node).walk(
-            thread.factory, [{_box(arg)} for arg in thread.args])
+            thread.factory, [{_box(arg): None} for arg in thread.args])
     return graph
 
 
@@ -432,7 +448,7 @@ def topology_findings(graph: TopologyGraph,
                       pedantic: bool = False) -> List[Finding]:
     findings: List[Finding] = []
     complete = not graph.partial
-    for __, stream in sorted(graph.streams.items()):
+    for stream in graph.streams:
         if stream.readers and not stream.writers and not stream.closers:
             findings.append(Finding(
                 rule="stream-never-written",

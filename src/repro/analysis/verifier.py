@@ -10,17 +10,17 @@ Ties the front-end passes together over one program:
 * stale-value hazards from the def-use pass (reads of registers never
   written in the current window);
 * and — when the launch configuration is known — *predictions*: the
-  abstract interpreter replays the program against the counter-exact
-  window model, yielding the overflow/underflow trap counts, WIM
-  wraparounds and per-thread maximum depth the real machine will
-  observe for that window count and scheme.  When the program's control
-  flow depends on values the abstract machine cannot know, predictions
-  degrade from ``exact`` to ``bounded`` (CFG depth bounds only).
+  abstract interpreter replays the program on the real window scheme,
+  yielding the overflow/underflow trap counts, WIM wraparounds and
+  per-thread maximum depth the real machine will observe for that
+  window count and scheme.  When the program's control flow depends
+  on values the abstract machine cannot know, predictions degrade
+  from ``exact`` to ``bounded`` (CFG depth bounds only).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.absmachine import (AbstractMachine, ImpreciseError,
@@ -31,6 +31,7 @@ from repro.analysis.depth import UNBOUNDED, compute_bounds
 from repro.analysis.report import (ERROR, INFO, WARNING, AnalysisReport,
                                    Finding)
 from repro.isa.assembler import Program, assemble
+from repro.metrics.counters import Counters
 
 
 @dataclass(frozen=True)
@@ -147,12 +148,34 @@ def _depth_findings(cfg: ProgramCFG, bounds, entries: List[int],
     return findings
 
 
+def comparable_counters(counters: Counters) -> Dict[str, Any]:
+    """The ``Counters`` fields a prediction states, in report form.
+
+    The transfer histogram is keyed by ``(saved, restored)`` tuples;
+    it is flattened to ``"saved,restored"`` keys for the JSON report,
+    in deterministic order."""
+    return {
+        "saves": counters.saves, "restores": counters.restores,
+        "overflow_traps": counters.overflow_traps,
+        "underflow_traps": counters.underflow_traps,
+        "windows_spilled": counters.windows_spilled,
+        "windows_restored": counters.windows_restored,
+        "context_switches": counters.context_switches,
+        "switch_transfer_hist": {
+            "%d,%d" % key: count
+            for key, count in sorted(counters.switch_transfer_hist.items())},
+        "compute_cycles": counters.compute_cycles,
+        "call_cycles": counters.call_cycles,
+        "trap_cycles": counters.trap_cycles,
+        "switch_cycles": counters.switch_cycles,
+        "total_cycles": counters.total_cycles,
+    }
+
+
 def _predict(program: Program, threads: Sequence[ThreadSpec],
              pokes: Sequence[Tuple[int, int]], n_windows: int,
-             scheme: str, cost_model, max_steps: int,
-             scheme_kwargs: Dict[str, Any]) -> Dict[str, Any]:
-    machine = AbstractMachine(program, n_windows=n_windows, scheme=scheme,
-                              cost_model=cost_model, **scheme_kwargs)
+             scheme: str, max_steps: int) -> Dict[str, Any]:
+    machine = AbstractMachine(program, n_windows=n_windows, scheme=scheme)
     for addr, value in pokes:
         machine.poke(addr, value)
     handles = [machine.add_thread(spec.entry, args=spec.args,
@@ -160,20 +183,15 @@ def _predict(program: Program, threads: Sequence[ThreadSpec],
                for spec in threads]
     exits = machine.run(max_steps=max_steps)
     counters = machine.counters
-    comparable = counters.as_comparable()
-    # the transfer histogram is keyed by (saved, restored) tuples;
-    # flatten for the JSON report while keeping deterministic order
-    comparable["switch_transfer_hist"] = {
-        "%d,%d" % key: count
-        for key, count in sorted(comparable["switch_transfer_hist"].items())}
     return {
         "mode": "exact",
-        "counters": comparable,
-        "wraparounds": counters.wraparounds,
+        "counters": comparable_counters(counters),
+        "wraparounds": machine.wraparounds,
         "exit_values": exits,
         "threads": [
-            {"name": t.name, "max_depth": t.mt.max_depth,
-             "saves": t.mt.stat_saves, "restores": t.mt.stat_restores}
+            {"name": t.name, "max_depth": t.max_depth,
+             "saves": counters.per_thread_saves.get(t.tid, 0),
+             "restores": counters.per_thread_restores.get(t.tid, 0)}
             for t in handles],
     }
 
@@ -183,9 +201,8 @@ def verify_program(program: Union[Program, str], name: str = "<program>",
                    thread_entries: Sequence[str] = ("start",),
                    pokes: Sequence[Tuple[int, int]] = (),
                    n_windows: int = 8, scheme: str = "SP",
-                   cost_model=None, predict: bool = True,
-                   max_steps: int = 3_000_000,
-                   **scheme_kwargs) -> AnalysisReport:
+                   predict: bool = True,
+                   max_steps: int = 3_000_000) -> AnalysisReport:
     """Verify one program; returns the full report.
 
     ``threads`` (launch configuration) enables predictions; without it
@@ -237,8 +254,7 @@ def verify_program(program: Union[Program, str], name: str = "<program>",
     if predict and threads is not None and report.ok:
         try:
             report.meta["prediction"] = _predict(
-                program, threads, pokes, n_windows, scheme, cost_model,
-                max_steps, scheme_kwargs)
+                program, threads, pokes, n_windows, scheme, max_steps)
             # recursion was resolved exactly, so the depth note (the
             # predictions-may-degrade caveat) no longer applies
             report.findings = [f for f in report.findings

@@ -23,11 +23,6 @@ from repro.windows.errors import WindowGeometryError, WindowIntegrityError
 from repro.windows.occupancy import FRAME, FREE, RESERVED
 from repro.windows.thread_windows import ThreadWindows
 
-#: Tamir & Sequin transfer-depth default ("transferring one window is
-#: the best in most cases", §2); shared with the static window model
-#: (:mod:`repro.analysis.winmodel`) so the two never drift apart.
-DEFAULT_TRANSFER_DEPTH = 1
-
 
 class NSScheme(Scheme):
     """Non-sharing: flush all active windows on every context switch.
@@ -42,7 +37,7 @@ class NSScheme(Scheme):
     kind = "NS"
     shares_windows = False
 
-    def __init__(self, cpu, transfer_depth: int = DEFAULT_TRANSFER_DEPTH):
+    def __init__(self, cpu, transfer_depth: int = 1):
         super().__init__(cpu)
         if transfer_depth < 1:
             raise WindowGeometryError(

@@ -26,11 +26,6 @@ from repro.windows.errors import WindowGeometryError, WindowIntegrityError
 from repro.windows.occupancy import FRAME, FREE, RESERVED
 from repro.windows.thread_windows import ThreadWindows
 
-#: free windows granted as growth headroom when a boundary is placed
-#: (see ``SharingScheme.grant_headroom``); module-level so the static
-#: window model (:mod:`repro.analysis.winmodel`) shares the value.
-GRANT_HEADROOM = 4
-
 
 class SharingScheme(Scheme):
     """Common trap handling for the SNP and SP schemes."""
@@ -46,7 +41,7 @@ class SharingScheme(Scheme):
     #: granting costs nothing — the WIM is recomputed anyway — but an
     #: unbounded grant would push the boundary far from the thread and
     #: crowd the next windowless allocation into its neighbour's back.
-    grant_headroom = GRANT_HEADROOM
+    grant_headroom = 4
 
     def __init__(self, cpu, allocation: Optional[AllocationPolicy] = None):
         super().__init__(cpu)

@@ -39,7 +39,9 @@ from repro.windows.thread_windows import ThreadWindows
 
 WORD = 4
 
-_ALU_FUNCS: Dict[str, Callable[[int, int], int]] = {
+#: opcode semantics, shared with the abstract interpreter
+#: (:mod:`repro.analysis.absmachine`)
+ALU_FUNCS: Dict[str, Callable[[int, int], int]] = {
     "add": operator.add,
     "sub": operator.sub,
     "and": operator.and_,
@@ -50,7 +52,7 @@ _ALU_FUNCS: Dict[str, Callable[[int, int], int]] = {
     "smul": operator.mul,
 }
 
-_BRANCH_TESTS: Dict[str, Callable[[int], bool]] = {
+BRANCH_TESTS: Dict[str, Callable[[int], bool]] = {
     "be": lambda cc: cc == 0,
     "bne": lambda cc: cc != 0,
     "bg": lambda cc: cc > 0,
@@ -128,8 +130,8 @@ class Machine:
         """Precompute the opcode -> bound-handler table."""
         dispatch: Dict[str, Callable] = {}
         for op in ALU_OPS:
-            dispatch[op] = self._make_alu(_ALU_FUNCS[op])
-        for op, test in _BRANCH_TESTS.items():
+            dispatch[op] = self._make_alu(ALU_FUNCS[op])
+        for op, test in BRANCH_TESTS.items():
             dispatch[op] = self._make_branch(test)
         dispatch.update({
             "mov": self._op_mov,
@@ -402,12 +404,12 @@ class Machine:
 
 def _alu(op: str, a: int, b: int) -> int:
     """Kept for direct use in tests; the interpreter's dispatch table
-    binds the same functions from ``_ALU_FUNCS``."""
-    fn = _ALU_FUNCS.get(op)
+    binds the same functions from ``ALU_FUNCS``."""
+    fn = ALU_FUNCS.get(op)
     if fn is None:
         raise MachineFault("bad ALU op %r" % op)
     return fn(a, b)
 
 
 def _branch_taken(op: str, cc: int) -> bool:
-    return _BRANCH_TESTS[op](cc)
+    return BRANCH_TESTS[op](cc)

@@ -1,45 +1,33 @@
 """The exactness contract: static predictions == dynamic counters.
 
 For every committed program under its canonical launch, across all
-three schemes and two window-file sizes, the abstract interpreter's
-predicted counters must match the real machine's ``Counters``
-attribute-for-attribute (including the switch-transfer histogram and
-every cycle category), the predicted WIM wraparounds must match the
-dynamic count of saves landing in window ``n-1``, and the per-thread
-maximum depth must match the dynamic trace.  The stream-topology
-verdicts get the same treatment against both execution cores.
+three schemes and three window-file sizes (4, SP's minimum, where
+wraparound and spill traffic is densest; 8; 32), the abstract
+interpreter's predicted counters must match the real machine's
+``Counters`` attribute-for-attribute (including the switch-transfer
+histogram and every cycle category), the predicted WIM wraparounds
+must match the dynamic count of saves landing in window ``n-1``, and
+the per-thread maximum depth must match the dynamic trace.  A window file too small
+for the scheme is rejected the same way on both sides.  The
+stream-topology verdicts get the same treatment against both execution
+cores.
 """
 
 import pytest
 
 from repro.analysis import AbstractMachine, ProbeKernel, analyze_kernel
-from repro.analysis.verifier import corpus_cases
+from repro.analysis.cli import main as analysis_main
+from repro.analysis.verifier import (comparable_counters, corpus_cases,
+                                     verify_program)
 from repro.isa import Machine, assemble
 from repro.runtime.errors import DeadlockError
 from repro.runtime.ops import Read, Write
+from repro.windows.errors import WindowGeometryError
 from tests.support.trampoline import make_kernel
 
 SCHEMES = ("NS", "SNP", "SP")
-WINDOW_COUNTS = (8, 32)
+WINDOW_COUNTS = (4, 8, 32)
 CORES = ("batched", "generator")
-
-
-def _dynamic_comparable(counters):
-    return {
-        "saves": counters.saves,
-        "restores": counters.restores,
-        "overflow_traps": counters.overflow_traps,
-        "underflow_traps": counters.underflow_traps,
-        "windows_spilled": counters.windows_spilled,
-        "windows_restored": counters.windows_restored,
-        "context_switches": counters.context_switches,
-        "switch_transfer_hist": dict(counters.switch_transfer_hist),
-        "compute_cycles": counters.compute_cycles,
-        "call_cycles": counters.call_cycles,
-        "trap_cycles": counters.trap_cycles,
-        "switch_cycles": counters.switch_cycles,
-        "total_cycles": counters.total_cycles,
-    }
 
 
 def _run_dynamic(case, scheme, n_windows):
@@ -79,7 +67,7 @@ def _run_static(case, scheme, n_windows):
                                   name=spec.name)
                for spec in case.threads]
     exits = machine.run(max_steps=case.max_steps)
-    return exits, machine.counters, threads
+    return exits, machine, threads
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -88,24 +76,25 @@ def test_corpus_counters_exact(scheme, n_windows):
     for case in corpus_cases():
         exits_d, counters_d, wraps_d, depth_d = _run_dynamic(
             case, scheme, n_windows)
-        exits_s, counters_s, threads_s = _run_static(
+        exits_s, machine_s, threads_s = _run_static(
             case, scheme, n_windows)
         label = "%s/%s/w%d" % (case.name, scheme, n_windows)
         assert exits_s == exits_d, label
-        static = counters_s.as_comparable()
-        dynamic = _dynamic_comparable(counters_d)
+        static = comparable_counters(machine_s.counters)
+        dynamic = comparable_counters(counters_d)
         for key in dynamic:
             assert static[key] == dynamic[key], "%s: %s" % (label, key)
-        assert counters_s.wraparounds == wraps_d, label
+        assert machine_s.wraparounds == wraps_d, label
         for thread in threads_s:
-            assert thread.mt.max_depth == depth_d[thread.tid], (
+            assert thread.max_depth == depth_d[thread.tid], (
                 "%s: tid %d max depth" % (label, thread.tid))
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_per_thread_stats_exact(scheme):
-    """The model's per-thread save/restore attribution matches the
-    dynamic ``ThreadWindows`` stats (two-thread interleaved case)."""
+    """The abstract machine's per-thread save/restore/switch attribution
+    matches the dynamic ``ThreadWindows`` stats (two-thread interleaved
+    case)."""
     case = next(c for c in corpus_cases() if c.name == "two_counters")
     machine = Machine(assemble(case.source), n_windows=6, scheme=scheme)
     for s in case.threads:
@@ -116,13 +105,38 @@ def test_per_thread_stats_exact(scheme):
     for s in case.threads:
         amachine.add_thread(s.entry, args=s.args, name=s.name)
     amachine.run(max_steps=case.max_steps)
-    predicted = amachine.model.fold_thread_stats()
+    predicted = amachine.counters
     counters = machine.counters
-    assert predicted["per_thread_saves"] == dict(counters.per_thread_saves)
-    assert predicted["per_thread_restores"] == dict(
+    assert dict(predicted.per_thread_saves) == dict(
+        counters.per_thread_saves)
+    assert dict(predicted.per_thread_restores) == dict(
         counters.per_thread_restores)
-    assert predicted["per_thread_switches"] == dict(
+    assert dict(predicted.per_thread_switches) == dict(
         counters.per_thread_switches)
+
+
+@pytest.mark.parametrize("scheme,n_windows",
+                         [("NS", 2), ("SNP", 2), ("SP", 3)])
+def test_too_few_windows_rejected_alike(scheme, n_windows, capsys):
+    """Below a scheme's minimum window count, the verifier raises the
+    error ``Machine`` raises at construction, and ``check`` reports it
+    as a usage error (exit 2, one stderr line)."""
+    case = corpus_cases()[0]
+    program = assemble(case.source)
+    with pytest.raises(WindowGeometryError) as dynamic:
+        Machine(program, n_windows=n_windows, scheme=scheme)
+    with pytest.raises(Exception) as static:
+        verify_program(program, name=case.name, threads=case.threads,
+                       n_windows=n_windows, scheme=scheme)
+    assert type(static.value) is type(dynamic.value)
+    assert str(static.value) == str(dynamic.value)
+
+    code = analysis_main(["check", "--corpus", "--scheme", scheme,
+                          "--windows", str(n_windows)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.splitlines() == [
+        "error: %s: %s" % (type(dynamic.value).__name__, dynamic.value)]
 
 
 # -- stream-topology verdicts against both execution cores ---------------

@@ -1,6 +1,9 @@
 """Stream-topology analysis: graph extraction (including the
 interprocedural and collection-binding cases the committed workloads
-use), verdict rules, and the workload-config entry point."""
+use), verdict rules, report determinism, and the workload-config entry
+point."""
+
+import json
 
 from repro.analysis import (
     ProbeKernel,
@@ -9,6 +12,7 @@ from repro.analysis import (
     analyze_workload_config,
 )
 from repro.runtime.ops import Call, CloseStream, Read, ReadLine, Write
+from repro.runtime.streams import Stream
 
 
 # module-level factories: the walker reads their source
@@ -65,7 +69,7 @@ class TestGraph:
         probe.spawn(_writer, stream, 3, name="w")
         probe.spawn(_reader, stream, name="r")
         graph = analyze_threads(probe.threads)
-        node = graph.streams[id(stream)]
+        node = graph.node_of(stream)
         assert node.writers == {"w"} and node.closers == {"w"}
         assert node.readers == {"r"}
         assert not graph.partial
@@ -77,8 +81,8 @@ class TestGraph:
         probe.spawn(_via_call, s1, name="caller")
         probe.spawn(_via_yield_from, s2, name="delegator")
         graph = analyze_threads(probe.threads)
-        assert graph.streams[id(s1)].writers == {"caller"}
-        assert graph.streams[id(s2)].writers == {"delegator"}
+        assert graph.node_of(s1).writers == {"caller"}
+        assert graph.node_of(s2).writers == {"delegator"}
         assert not graph.partial
 
     def test_subscript_and_loop_bind_all_members(self):
@@ -87,15 +91,15 @@ class TestGraph:
         probe.spawn(_fanout, streams, 7, name="parent")
         graph = analyze_threads(probe.threads)
         for stream in streams:
-            assert graph.streams[id(stream)].writers == {"parent"}
-            assert graph.streams[id(stream)].closers == {"parent"}
+            assert graph.node_of(stream).writers == {"parent"}
+            assert graph.node_of(stream).closers == {"parent"}
 
     def test_readline_counts_as_read(self):
         probe = ProbeKernel()
         stream = probe.stream(8, name="s")
         probe.spawn(_line_reader, stream, name="r")
         graph = analyze_threads(probe.threads)
-        assert graph.streams[id(stream)].readers == {"r"}
+        assert graph.node_of(stream).readers == {"r"}
 
     def test_cycle_detection(self):
         probe = ProbeKernel()
@@ -162,3 +166,42 @@ class TestWorkloadConfig:
         pedantic = analyze_workload_config(
             {"workload": "synthetic-ping-pong"}, pedantic=True)
         assert "stream-cycle" in [f.rule for f in pedantic.findings]
+
+
+def _build_relay_chain(names):
+    """head -> s0 -> r0 -> s1 -> ... -> tail, one stream per name
+    (``""`` leaves it unnamed); threads touch streams in creation
+    order."""
+    probe = ProbeKernel()
+    streams = [probe.stream(4, name=name) for name in names]
+    probe.spawn(_writer, streams[0], 2, name="head")
+    for i in range(len(streams) - 1):
+        probe.spawn(_relay, streams[i], streams[i + 1], name="r%d" % i)
+    probe.spawn(_reader, streams[-1], name="tail")
+    return analyze_kernel(probe, pedantic=True)
+
+
+def _churn_heap():
+    """Free a run of Stream-sized blocks in address order.  The
+    allocator hands freed blocks back last-freed-first, so the streams
+    created next land at descending addresses."""
+    pad = [Stream(1) for __ in range(64)]
+    while pad:
+        pad.pop(0)
+
+
+class TestDeterminism:
+    def test_report_bytes_independent_of_heap_state(self):
+        first = _build_relay_chain(["", "", "", ""]).to_json()
+        _churn_heap()
+        second = _build_relay_chain(["", "", "", ""]).to_json()
+        assert first == second
+        streams = json.loads(first)["meta"]["streams"]
+        assert [s["name"] for s in streams] == [
+            "stream#0", "stream#1", "stream#2", "stream#3"]
+
+    def test_streams_listed_in_creation_order(self):
+        names = ["d", "c", "b", "a"]
+        _churn_heap()
+        report = _build_relay_chain(names)
+        assert [s["name"] for s in report.meta["streams"]] == names
