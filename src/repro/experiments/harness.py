@@ -109,7 +109,7 @@ def run_point(scheme: str, n_windows: int, concurrency: str,
 def attach_report_observers(kernel) -> Dict[str, object]:
     """Attach the observers a RunReport is built from — tracker,
     timeline and the event-statistics log — to ``kernel``'s quantum
-    boundaries; they leave the run on the batched loop."""
+    boundaries, so a report point needs no event-bus subscriber."""
     tracker = BehaviorTracker()
     timeline = OccupancyTimeline()
     observers = {"recorder": kernel.observe(QuantumLog()),

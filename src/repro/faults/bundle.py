@@ -26,8 +26,8 @@ Schema (``repro.crash-bundle`` version 2)::
 Version-2 bundles written before the runtime had a single execution
 loop also carry ``config["core"]`` (``"batched"`` or ``"generator"``).
 The field still loads and is carried through replay unchanged, but
-nothing reads it and new bundles omit it: a bundle-producing run always
-takes the step-granular loop.  Version-1 bundles load the same way.
+nothing reads it and new bundles omit it: the kernel has one execution
+loop.  Version-1 bundles load the same way.
 
 Bundles contain no timestamps or host state, so a deterministic
 workload + the embedded seed/plan reproduce the identical bundle

@@ -59,6 +59,8 @@ class FaultInjector:
             site = self._pending.setdefault(spec.site, {})
             site.setdefault(spec.at, []).append(spec)
         self._trap_action: Optional[str] = None
+        #: the kernel this injector is attached to (see attach)
+        self._kernel = None
 
     def bind(self, events) -> None:
         self.events = events
@@ -70,11 +72,13 @@ class FaultInjector:
         The CPU's per-site hook attributes stay ``None`` for every
         other site, so the unfaulted hot path (and the unfaulted sites
         of a faulted run) keep their single ``is None`` check and never
-        pay a callable indirection or a site-counter lookup.
+        pay a callable indirection or a site-counter lookup.  A site is
+        unhooked again once its last spec has fired.
         """
         self.bind(kernel.events)
         # always visible for trap-action consumption and crash bundles
         kernel.cpu.faults = self
+        self._kernel = kernel
         pending = self._pending
         if "save" in pending:
             kernel.cpu._fault_save = self.on_save
@@ -85,15 +89,28 @@ class FaultInjector:
         if "enqueue" in pending:
             kernel.ready.faults = self
 
+    def _unhook(self, site: str) -> None:
+        kernel = self._kernel
+        if kernel is None:
+            return
+        if site == "enqueue":
+            kernel.ready.faults = None
+        else:
+            setattr(kernel.cpu, "_fault_" + site, None)
+
     # -- bookkeeping --------------------------------------------------------
 
     def _hits(self, site: str) -> List[FaultSpec]:
         """Advance the site counter, return the specs due right now."""
-        if site not in self._pending:
+        pending = self._pending.get(site)
+        if not pending:
             return []
         count = self._counts.get(site, 0) + 1
         self._counts[site] = count
-        return self._pending[site].pop(count, [])
+        specs = pending.pop(count, [])
+        if not pending:
+            self._unhook(site)
+        return specs
 
     def _fire(self, spec: FaultSpec, site: str, **detail: Any) -> None:
         record = {"kind": spec.kind, "at": spec.at, "site": site}

@@ -211,9 +211,8 @@ def run_workload(config: Dict[str, Any], faults=None, crash_dir=None,
     ``config`` supplies both the workload parameters and the kernel
     knobs; ``faults`` is an armed :class:`FaultInjector` (or None).
     A ``core`` key, which version-2 bundles once recorded, is read and
-    ignored: every bundle-producing run is step-granular (its crash
-    directory subscribes the flight recorder to the event bus), and
-    the step-granular and batched loops are bit-identical anyway.
+    ignored: the kernel has one execution loop, and the step-granular
+    loop that ``"generator"`` named was bit-identical to it.
 
     ``trial_budget`` caps steps *without* entering the config (the
     minimizer's runaway guard for candidate runs); a ``max_steps`` in

@@ -84,8 +84,8 @@ class BehaviorTracker:
         """Consume bus events instead (``kernel.events.subscribe``):
         quanta open on ``dispatch``, depth excursions come from every
         ``save``/``restore``, and ``run_end`` closes the final quantum.
-        Subscribing selects the step-granular loop; the quanta are the
-        same as the quantum-boundary hook records."""
+        The quanta are the same as the quantum-boundary hook
+        records."""
         kind = event.kind
         if kind == "dispatch":
             self.on_dispatch(event.tid, event.attrs["depth"], event.cycle)

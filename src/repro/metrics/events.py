@@ -16,9 +16,9 @@ the kernel; the stock ones are:
 The RunReport observers — :class:`repro.metrics.behavior.BehaviorTracker`,
 :class:`repro.metrics.tracing.OccupancyTimeline` and
 :class:`repro.metrics.quanta.QuantumLog` — are not bus subscribers: they
-observe quantum boundaries (:mod:`repro.metrics.quanta`), which every
-dispatch loop reports without selecting the step-granular one.  A live
-subscriber here does select it.
+observe quantum boundaries (:mod:`repro.metrics.quanta`), which need
+far fewer callbacks.  Neither kind of consumer changes which code path
+runs: the kernel has one execution loop, and emitting is a hook on it.
 
 The bus is **disabled by default**: publishers guard every emit with a
 single ``if bus.active`` check, so an uninstrumented run pays one no-op

@@ -11,8 +11,8 @@ stack (for flamegraphs) and the runtime-op / ISA-opcode class (for the
 Because the sample grid lives in cycle space, two runs with identical
 seeds produce byte-identical profiles.
 
-The hot-path contract is the tight part.  The kernel's step loop may
-retire a step in ~350ns of host time, so the profiler must keep its
+The hot-path contract is the tight part.  The kernel's execution loop
+may retire a step in ~350ns of host time, so the profiler must keep its
 hands out of the per-step path entirely:
 
 * disabled: ``prof`` is a hoisted local bound to ``None`` → a single

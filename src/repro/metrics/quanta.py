@@ -6,9 +6,9 @@ scheduling quantum), the occupancy timeline (one window-map snapshot
 per dispatch) and the event statistics (switch costs, per-thread
 cycles, tallies of what happened).  The kernel therefore offers one
 observation hook at quantum boundaries (:meth:`Kernel.observe
-<repro.runtime.kernel.Kernel.observe>`), fired from every dispatch loop
-— the batched loop included — so observing a run does not change which
-loop executes it.  An observer implements three callbacks:
+<repro.runtime.kernel.Kernel.observe>`), fired from the kernel's
+execution loop once per dispatch and quantum exit instead of once per
+event.  An observer implements three callbacks:
 
 * ``on_quantum_start(tid, depth, cycle, switch_cost)`` — after each
   dispatch: the dispatched thread, its call depth, the cycle clock

@@ -96,7 +96,7 @@ class OccupancyTimeline:
 
     def on_event(self, event) -> None:
         """Take one snapshot per ``dispatch`` event instead, when
-        subscribed to a bus (which selects the step-granular loop)."""
+        subscribed to a bus."""
         if event.kind == "dispatch" and self.cpu is not None:
             self.snapshot(self.cpu, event.tid, event.cycle)
 

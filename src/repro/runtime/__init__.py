@@ -3,7 +3,7 @@
 Application code is written as Python *generator procedures*: a
 procedure yields :mod:`repro.runtime.ops` commands (call a
 subprocedure, read/write a stream, charge compute cycles) and returns
-its result with a plain ``return``.  The kernel trampoline executes
+its result with a plain ``return``.  The kernel's execution loop runs
 every procedure call as a simulated ``save`` and every return as a
 simulated ``restore`` — so window traffic, traps and context switches
 arise from real, data-dependent control flow, exactly as in the

@@ -1,8 +1,8 @@
 """The one execution runtime, for callers that still name a backend.
 
 The simulator runs on a single pure-Python runtime: the batched kernel
-loop (:meth:`repro.runtime.kernel.Kernel._run_batched`), its
-step-granular reference loop, and the ISA fetch loop
+loop (:meth:`repro.runtime.kernel.Kernel._run_batched`) and the ISA
+fetch loop
 (:meth:`repro.isa.machine.Machine._run_thread`).  The optional compiled
 twin of the batched and fetch loops was removed, so there is nothing
 left to select.  :func:`select_backend` and the ``backend=`` argument

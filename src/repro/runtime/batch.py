@@ -6,17 +6,16 @@ Python frame (:meth:`repro.runtime.kernel.Kernel._run_batched`, which
 fuses the dispatch loop and the batch executor into one frame),
 leaving the batch only on a *batch-exit event* — block, yield,
 completion — with cycle accounting and per-thread statistics folded
-once per batch instead of once per step.
+once per batch instead of once per step.  It is the kernel's only
+loop: step budgets, the watchdog, fault injection, the audit and
+event-bus tracing are hooks on it.
 
-The step-granular loop (:meth:`repro.runtime.kernel.Kernel._run_quantum`)
-runs the configurations that need per-step hooks (fault injection,
-watchdog, audit, event-bus tracing, step budgets) and is the
-differential suite's reference loop (``tests/support/trampoline.py``
-forces it on a kernel).
-
-Both loops are required to be *bit-identical*: same counters, same
-per-thread statistics, same trace-event sequences, same step counts
-(``tests/core/test_batched_vs_trampoline.py`` enforces this).
+The step-granular loop it replaced survives as a test-only executable
+spec (``tests/support/trampoline.py``).  The batched loop is required
+to be *bit-identical* to it: same counters, same per-thread
+statistics, same trace-event sequences, same step counts, same errors
+at the same step (``tests/core/test_batched_vs_trampoline.py`` and
+``tests/runtime/test_batch_exit_edges.py`` enforce this).
 
 The exit codes below name why a batch ended.  They replace the implicit
 "one yielded op per step" protocol at quantum granularity: inside a

@@ -1,5 +1,5 @@
-"""The multi-tasking kernel: trampoline execution + non-preemptive
-scheduling over the window simulator.
+"""The multi-tasking kernel: one batched execution loop +
+non-preemptive scheduling over the window simulator.
 
 Every procedure call a thread makes becomes a simulated ``save`` and
 every return a ``restore``; blocking stream operations suspend the
@@ -9,10 +9,19 @@ caller's outs into the callee's ins, return values travel back through
 the in/out overlap across the restore, and each frame carries a
 signature in a local register — so a window-management bug corrupts
 application results instead of passing silently.
+
+Threads run on one loop, :meth:`Kernel._run_batched`, which executes
+each quantum as a straight-line batch (the paper's §6.1 emulator
+design: only the window operations are interpreted).  Step budgets,
+the watchdog, fault injection, the invariant audit and event-bus
+tracing are hooks on that loop, not a second loop; the step-granular
+loop it replaced lives on in ``tests/support/trampoline.py`` as the
+executable spec the differential suites compare against.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -21,12 +30,7 @@ from repro.core.invariants import check_invariants
 from repro.core.scheme import Scheme
 from repro.errors import ReproError
 from repro.metrics.counters import Counters
-from repro.runtime.batch import (
-    EXIT_BLOCKED,
-    EXIT_BUDGET,
-    EXIT_DONE,
-    EXIT_YIELDED,
-)
+from repro.runtime.batch import EXIT_BLOCKED, EXIT_DONE, EXIT_YIELDED
 from repro.runtime.errors import DeadlockError, LivelockError, RuntimeFault
 from repro.runtime.ops import (
     Call,
@@ -56,6 +60,13 @@ from repro.windows.errors import (
     WindowIntegrityError,
 )
 from repro.windows.occupancy import FRAME, FREE
+
+#: the step limit of an unbudgeted run (never reached)
+_UNBOUNDED = sys.maxsize
+
+#: the ops a thread can block on (``SimThread.pending``), by name
+_BLOCKING_OPS = {Read: "read", ReadLine: "readline", Write: "write",
+                 Join: "join"}
 
 
 @dataclass
@@ -121,14 +132,14 @@ class Kernel:
         self._tracker = None
         self._timeline = None
         #: quantum-boundary observers (see :meth:`observe`); a tuple so
-        #: the dispatch loops' per-quantum guard is one truth test
+        #: the loop's per-quantum guard is one truth test
         self._observers = ()
         #: streams closed while bound to this kernel's event bus (the
         #: ``stream_close`` tally of a RunReport's events section)
         self.streams_closed = 0
         #: optional :class:`repro.metrics.telemetry.RunTelemetry`; the
-        #: profiler is mirrored into ``_profiler`` so the step loop's
-        #: guard is a hoisted-local None check (attach_telemetry)
+        #: profiler is mirrored into ``_profiler`` so the loop's guard
+        #: is a hoisted-local None check (attach_telemetry)
         self.telemetry = None
         self._profiler = None
         self._running = False
@@ -175,9 +186,10 @@ class Kernel:
         in a block, yield or retirement, and ``on_run_end(kernel,
         cycle)`` once the run completes.  Cycle stamps are exact; the
         exit code is one of :mod:`repro.runtime.batch`'s ``EXIT_*``.
-        Observers never select the step-granular loop: they fire from
-        every dispatch loop at quantum granularity (see
-        :mod:`repro.metrics.quanta`)."""
+        Observers fire at quantum granularity from the one execution
+        loop (see :mod:`repro.metrics.quanta`).  One may subscribe to
+        the event bus from ``on_quantum_start``: the quantum it starts
+        is traced in full."""
         if observer not in self._observers:
             self._observers += (observer,)
         return observer
@@ -297,15 +309,6 @@ class Kernel:
             raise
 
     def _run_to_completion(self, max_steps: Optional[int]) -> RunResult:
-        # The batched loop needs every step hook to be dead: a step
-        # budget, the watchdog, fault injection, the invariant audit and
-        # event-bus tracing all observe (or perturb) individual steps,
-        # so those configurations run the step-granular loop
-        # (_run_quantum) instead.  Tracing is re-checked per quantum
-        # because a subscriber may attach mid-run.  Quantum-boundary
-        # observers do not count: they fire from both loops.
-        batchable = (max_steps is None and self._watchdog is None
-                     and self.faults is None and not self.audit)
         while True:
             if self.current is None:
                 if not self.ready:
@@ -314,15 +317,10 @@ class Kernel:
                         raise self._deadlock_error(blocked)
                     break
                 self._dispatch(self.ready.pop())
-            if batchable and not self._tracing:
-                # Runs quanta back-to-back (dispatch included) until
-                # everything is done/blocked or tracing comes alive;
-                # the loop here re-checks deadlock and tracing.
-                self._run_batched()
-            else:
-                self._run_quantum(max_steps)
-            if max_steps is not None and self._steps >= max_steps:
-                raise RuntimeFault("step budget of %d exceeded" % max_steps)
+            # Runs quanta back-to-back (dispatch included) until
+            # everything is done or blocked; the loop here decides
+            # between completion and deadlock.
+            self._run_batched(max_steps)
         if self._tracing:
             self.events.emit("run_end")
         if self._observers:
@@ -340,14 +338,14 @@ class Kernel:
         waits for — including the fill state of the stream involved."""
         details = []
         for t in blocked:
-            pending = t.pending or (None,)
-            kind = pending[0]
+            op = t.pending
+            kind = _BLOCKING_OPS.get(type(op))
             if kind == "join":
-                target = pending[1]
+                target = op.thread
                 entry = {"thread": t.name, "op": "join", "on": target.name,
                          "detail": "target is %s" % target.state}
-            elif kind in ("read", "readline", "write"):
-                stream = pending[1]
+            elif kind is not None:
+                stream = op.stream
                 if kind == "write":
                     state = "full" if stream.is_full else (
                         "%d/%d bytes buffered"
@@ -446,149 +444,44 @@ class Kernel:
             raise exc.with_context(audit=True, step=self._steps,
                                    cycle=self.counters.total_cycles)
 
-    # -- quantum execution ----------------------------------------------------------
+    # -- the execution loop ---------------------------------------------------
 
-    def _run_quantum(self, max_steps: Optional[int]) -> int:
-        """Step-granular quantum loop: the path for configurations
-        that need per-step hooks (step budgets, watchdog, faults,
-        audit, event-bus tracing) and the differential suite's
-        reference loop.  Runs the current thread until it blocks,
-        yields or finishes; quantum-boundary observers see the quantum
-        end exactly as the batched loop reports it."""
-        thread = self.current
-        assert thread is not None
-        tw = thread.windows
-        cpu = self.cpu
-        counters = cpu.counters
-        verify = self.verify_registers
-        watchdog = self._watchdog
-        prof = self._profiler
-        gen_stack = thread.gen_stack
-        low = high = tw.depth  # depth excursion of this quantum
-        try:
-            while True:
-                self._steps += 1
-                if max_steps is not None and self._steps >= max_steps:
-                    return EXIT_BUDGET
-                if watchdog is not None and watchdog.expired(self._progress,
-                                                             self._steps):
-                    raise LivelockError(
-                        "no progress for %d steps (watchdog max_stall=%d); "
-                        "threads: %s" % (
-                            watchdog.stalled_for(self._progress, self._steps),
-                            watchdog.max_stall,
-                            ", ".join("%s=%s" % (t.name, t.state)
-                                      for t in self.threads)),
-                        max_stall=watchdog.max_stall,
-                        progress=self._progress)
-                if thread.pending is not None:
-                    if not self._continue_pending(thread):
-                        self._block(thread)
-                        if self._observers:
-                            self._quantum_ended(thread, low, high)
-                        return EXIT_BLOCKED
-                    self._progress += 1
-                gen = gen_stack[-1]
-                try:
-                    cmd = gen.send(thread.resume_value)
-                except StopIteration as stop:
-                    if self._handle_return(thread, getattr(stop, "value", None)):
-                        if self._observers:
-                            self._quantum_ended(thread, low, high)
-                        return EXIT_DONE  # thread finished
-                    if tw.depth < low:
-                        low = tw.depth
-                    continue
-                thread.resume_value = None
-                t = type(cmd)
-                if t is Tick:
-                    counters.compute_cycles += cmd.cycles
-                    self._progress += 1
-                elif t is Call:
-                    self._do_call(thread, cmd)
-                    if tw.depth > high:
-                        high = tw.depth
-                elif t is Read:
-                    thread.pending = ("read", cmd.stream, cmd.max_bytes)
-                elif t is Write:
-                    thread.pending = ("write", cmd.stream, cmd.data, 0)
-                elif t is ReadLine:
-                    thread.pending = ("readline", cmd.stream)
-                elif t is CloseStream:
-                    self._do_close(cmd.stream)
-                elif t is YieldCPU:
-                    if self.ready:
-                        if self._tracing:
-                            self.events.emit("yield", tid=thread.tid)
-                        self.ready.push_yielded(thread)
-                        self.last_suspended = thread
-                        self.current = None
-                        if self._observers:
-                            self._quantum_ended(thread, low, high)
-                        return EXIT_YIELDED
-                    # Nobody else to run: keep going, no switch, no cost.
-                elif t is FlushHint:
-                    thread.flush_on_switch = cmd.flush
-                elif t is Spawn:
-                    thread.resume_value = self._spawn(
-                        cmd.factory, cmd.args, cmd.name)
-                    self._progress += 1
-                elif t is Join:
-                    if cmd.thread is thread:
-                        raise RuntimeFault(
-                            "%s tried to join itself" % thread.name)
-                    thread.pending = ("join", cmd.thread)
-                else:
-                    raise RuntimeFault(
-                        "thread %s yielded %r; expected a runtime op"
-                        % (thread.name, cmd))
-        finally:
-            # The profiler samples on quantum boundaries only — the
-            # per-step path carries zero profiler code, and a quantum
-            # (one thread's uninterrupted run) is the natural unit of
-            # cycle attribution.  Stacks are captured where threads
-            # block or yield; per-op attribution is derived exactly
-            # from the run counters at finalize time.
-            if prof is not None:
-                prof._cd -= 1
-                if prof._cd <= 0:
-                    prof._check(thread, None, counters)
-
-    def _run_batched(self) -> None:
+    def _run_batched(self, max_steps: Optional[int] = None) -> None:
         """The run-until-event loop: dispatch loop plus batch executor
-        fused into one frame.
+        fused into one frame, and the kernel's only execution loop.
 
         Each thread's quantum executes as a straight-line batch of
         steps, returning control only on a batch-exit event — block,
         yield, completion (:mod:`repro.runtime.batch`) — after which
         the next thread is dispatched without leaving this frame, so
         the simulator-invariant locals (register file geometry, WIM,
-        occupancy arrays, op classes) hoist once per *run* instead of
-        once per step or quantum.
+        occupancy arrays, op classes) hoist once per *run*.  The two
+        window instructions (``WindowCPU.save``/``restore``), stream
+        completion and the counter updates are inlined.  The step and
+        progress clocks, the compute/call cycles and the save/restore
+        totals live in frame locals stored back in the outer
+        ``finally``; per-thread statistics fold in the inner one at
+        each quantum boundary.  Trap handlers and context switches run
+        through the scheme and touch only the trap/switch counters,
+        never these locals, so folding late is safe.  Both folds run
+        on exceptional exits too, so an error escaping mid-batch leaves
+        every count where the step-granular reference loop
+        (``tests/support/trampoline.py``) leaves it.
 
-        Bit-identical to the step-granular loop — the differential
-        suite enforces it — with the per-step machinery inlined: the
-        two window instructions (``WindowCPU.save``/``restore``),
-        stream completion, and the counter updates.  Run-global
-        counters (steps, progress, compute/call cycles, save/restore
-        totals) accumulate in frame locals and fold once in the outer
-        ``finally``; per-thread statistics fold at each quantum
-        boundary in the inner ``finally``.  Both folds run on
-        exceptional exits too, so a window trap escaping mid-batch
-        leaves step and cycle counts exactly where the reference loop
-        would (crash-context identity).  Trap handlers and context
-        switches run through the scheme exactly as in the reference
-        loop; they touch only trap/switch counters, never the
-        batch-local ones, so folding late is safe.
-
-        Only entered when every step-granular hook is dead (no step
-        budget, watchdog, faults, audit or tracing — see
-        ``_run_to_completion``); the profiler, the telemetry buffers
-        and the quantum-boundary observers are quantum-granular.  Each
-        quantum tracks its depth excursion in two locals (one compare
-        per call or return); the observers read it, together with the
-        exact cycle clock (the lazy cycle accumulators fold first), at
-        every dispatch and quantum exit.
+        Step-granular features are hooks (DESIGN.md §10.1): the step
+        budget is the batch loop's condition, checked again at the two
+        steps that do not start at the loop top (a quantum's entry and
+        the step completing a blocking op); the watchdog is told about
+        the steps that make no progress and checks after them; the
+        inlined save and restore call the CPU's fault slots and trap
+        actions; the audit runs after every dispatch, call and return;
+        and the loop emits the reference loop's dispatch, save,
+        restore, yield, retire and join-wake events.  Tracing and the
+        fault slots are re-read per quantum (an observer may subscribe
+        at a dispatch).  A traced or audited quantum keeps its cycles
+        in the counters as it goes, and the lazy accumulators fold at
+        every boundary an observer or a live bus sees, so each stamp
+        reads the exact clock.
         """
         cpu = self.cpu
         wf = cpu.wf
@@ -604,6 +497,7 @@ class Kernel:
         scheme = self.scheme
         ready = self.ready
         counters = cpu.counters
+        events = self.events
         verify = self.verify_registers
         save_cost = cpu._save_instr_cost
         restore_cost = cpu._restore_instr_cost
@@ -612,26 +506,34 @@ class Kernel:
         handle_overflow = scheme.handle_overflow
         handle_underflow = scheme.handle_underflow
         context_switch = scheme.context_switch
-        block = self._block
         wake_readers = self._wake_readers
         wake_writers = self._wake_writers
         do_close = self._do_close
         queue = ready._queue
         popleft = queue.popleft
         queue_extend = queue.extend
-        # Plain FIFO with no fault injector attached: a wake is exactly
-        # "state = READY, append to the deque" (the push_woken fast
-        # path); neither condition can change during a run.  Tracing
-        # can, so the wake sites re-check it and fall back.
-        fifo_wake = ready._fifo and ready.faults is None
         READY_, BLOCKED_ = READY, BLOCKED
         # op classes as frame locals (one global load each, not per step)
         Tick_, Call_, Read_, Write_ = Tick, Call, Read, Write
         ReadLine_, CloseStream_, YieldCPU_ = ReadLine, CloseStream, YieldCPU
         FlushHint_, Spawn_, Join_ = FlushHint, Spawn, Join
-        # -- run-global accumulators, folded once in the outer finally --
-        steps = 0                  # -> self._steps
-        progress = 0               # -> self._progress
+        # -- run-wide hooks --
+        faults = cpu.faults
+        faulted = faults is not None
+        fault_save = fault_restore = None
+        audit = self.audit
+        # Plain FIFO with no enqueue fault hook: a wake is exactly
+        # "state = READY, append to the deque" (the push_woken fast
+        # path).  A traced quantum takes the wake methods, which emit.
+        fifo_wake = ready._fifo and ready.faults is None
+        watchdog = self._watchdog
+        limit = _UNBOUNDED if max_steps is None else max_steps
+        # a quantum's entry step checks the budget against
+        # ``hook_limit``; with a watchdog armed every entry looks
+        hook_limit = 0 if watchdog is not None else limit
+        # -- run-global accumulators, stored back in the outer finally --
+        steps = self._steps        # -> self._steps
+        progress = self._progress  # -> self._progress
         compute = 0                # -> counters.compute_cycles
         call_cycles = 0            # -> counters.call_cycles
         saves_total = 0            # -> counters.saves
@@ -641,212 +543,147 @@ class Kernel:
                 thread = self.current
                 tw = thread.windows
                 gen_stack = thread.gen_stack
+                # Hooks re-read per quantum: an observer may have
+                # subscribed at this dispatch, and the fault injector
+                # unhooks a site once its last spec fired.
+                events_on = self._tracing
+                eager = events_on or audit
+                if faulted:
+                    fault_save = cpu._fault_save
+                    fault_restore = cpu._fault_restore
+                fast_wake = fifo_wake and not events_on
                 # -- per-quantum accumulators (per-thread statistics) --
                 n_saves = 0        # -> tw.stat_saves (== thread.calls)
                 n_restores = 0     # -> tw.stat_restores (== thread.returns)
                 low = high = tw.depth  # depth excursion (observers)
                 resume = thread.resume_value
-                steps += 1         # the entry iteration (compat parity)
                 try:
-                    # Entry with an in-flight op (_continue_pending,
-                    # inlined): completion shares the step with the
-                    # send that follows, as in the compat loop's
-                    # pending-resume iteration; a still-blocked op
-                    # re-blocks without entering the batch (falling
-                    # through to the dispatch below).
-                    pending = thread.pending
-                    if pending is None:
-                        gen = gen_stack[-1]
+                    # A blocked thread re-dispatches the op it blocked
+                    # on: its entry step tries to complete it (the
+                    # handler below counts and checks that step).
+                    redo = thread.pending
+                    if redo is None:
+                        steps += 1     # the entry step
+                        entry = steps
+                        if steps >= hook_limit:
+                            self._check_step(thread, steps, progress,
+                                             max_steps)
                     else:
-                        gen = None
-                        kind = pending[0]
-                        stream = pending[1]
-                        if kind == "write":
-                            data, offset = pending[2], pending[3]
-                            # -- Stream.push, inlined (and without the
-                            # tail-slice allocation push would need) --
-                            if stream.closed:
-                                raise StreamClosedError(
-                                    "write to closed stream %r"
-                                    % (stream.name,))
-                            sdata = stream._data
-                            pushed = stream.capacity - len(sdata)
-                            want = len(data) - offset
-                            if pushed:
-                                if pushed >= want:
-                                    pushed = want
-                                    sdata.extend(data[offset:])
-                                else:
-                                    sdata.extend(
-                                        data[offset:offset + pushed])
-                                stream.bytes_written += pushed
-                                offset += pushed
-                                if stream.read_waiters:
-                                    if fifo_wake and not self._tracing:
-                                        for waiter in stream.read_waiters:
-                                            waiter.blocked_on = None
-                                            waiter.state = READY_
-                                        queue_extend(stream.read_waiters)
-                                        del stream.read_waiters[:]
-                                    else:
-                                        wake_readers(stream)
-                            if offset >= len(data):
-                                thread.pending = None
-                                resume = None
+                        thread.pending = None
+                        entry = steps + 1
+                    gen = gen_stack[-1]
+                    while steps < limit:
+                        if redo is None:
+                            try:
+                                cmd = gen.send(resume)
+                            except StopIteration as stop:
+                                value = stop.value
+                                gen_stack.pop()
                                 progress += 1
-                                gen = gen_stack[-1]
-                            else:
-                                thread.pending = ("write", stream, data,
-                                                  offset)
-                        elif kind == "read":
-                            sdata = stream._data
-                            if sdata or stream.closed:
-                                # -- Stream.pull, inlined --
-                                take = pending[2]
-                                avail = len(sdata)
-                                if take >= avail:
-                                    take = avail
-                                    data = bytes(sdata)
-                                    del sdata[:]
-                                else:
-                                    data = bytes(sdata[:take])
-                                    del sdata[:take]
-                                if take:
-                                    stream.bytes_read += take
-                                if take and stream.write_waiters:
-                                    if fifo_wake and not self._tracing:
-                                        for waiter in stream.write_waiters:
-                                            waiter.blocked_on = None
-                                            waiter.state = READY_
-                                        queue_extend(stream.write_waiters)
-                                        del stream.write_waiters[:]
-                                    else:
-                                        wake_writers(stream)
-                                thread.pending = None
-                                resume = data
-                                progress += 1
-                                gen = gen_stack[-1]
-                        elif kind == "readline":
-                            # -- has_line/at_eof/pull_line, inlined --
-                            sdata = stream._data
-                            idx = sdata.find(b"\n")
-                            if idx >= 0:
-                                idx += 1
-                                line = bytes(sdata[:idx])
-                                del sdata[:idx]
-                                stream.bytes_read += idx
-                            elif stream.closed:
-                                line = bytes(sdata)
-                                if line:
-                                    del sdata[:]
-                                    stream.bytes_read += len(line)
-                            elif len(sdata) >= stream.capacity:
-                                raise RuntimeFault(
-                                    "readline on %r: line longer than "
-                                    "the stream capacity" % stream.name)
-                            else:
-                                line = None
-                            if line is not None:
-                                if line and stream.write_waiters:
-                                    if fifo_wake and not self._tracing:
-                                        for waiter in stream.write_waiters:
-                                            waiter.blocked_on = None
-                                            waiter.state = READY_
-                                        queue_extend(stream.write_waiters)
-                                        del stream.write_waiters[:]
-                                    else:
-                                        wake_writers(stream)
-                                thread.pending = None
-                                resume = line
-                                progress += 1
-                                gen = gen_stack[-1]
-                        elif kind == "join":
-                            if stream.state == DONE:
-                                thread.pending = None
-                                resume = stream.result
-                                progress += 1
-                                gen = gen_stack[-1]
-                        else:
-                            raise RuntimeFault(
-                                "unknown pending op %r" % kind)
-                        if gen is None:
-                            block(thread)
-                    while gen is not None:
-                        try:
-                            cmd = gen.send(resume)
-                        except StopIteration as stop:
-                            value = stop.value
-                            gen_stack.pop()
-                            progress += 1
-                            if not gen_stack:
-                                if verify and tw.depth != 1:
-                                    raise WindowIntegrityError(
-                                        "thread %s finished at call "
-                                        "depth %d"
-                                        % (thread.name, tw.depth))
-                                thread.result = value
-                                thread.state = DONE
-                                scheme.retire(tw)
-                                self.current = None
-                                for waiter in thread.join_waiters:
-                                    waiter.blocked_on = None
-                                    ready.push_woken(waiter)
-                                del thread.join_waiters[:]
-                                break  # EXIT_DONE
-                            n_restores += 1
-                            cwp = wf.cwp
-                            if verify:
-                                sig = regs[in_base[cwp] + 8]
-                                if sig != ("sig", thread.tid, tw.depth):
-                                    raise WindowIntegrityError(
-                                        "thread %s frame signature "
-                                        "corrupted: %r at depth %d"
-                                        % (thread.name, sig, tw.depth),
-                                        thread=thread.name,
-                                        depth=tw.depth)
-                            # The return value travels through the
-                            # in/out overlap across the restore
-                            # (written before, read after).
-                            regs[in_base[cwp]] = value
-                            # -- WindowCPU.restore, inlined --
-                            depth = tw.depth
-                            if depth <= 1:
-                                raise WindowGeometryError(
-                                    "thread %d executed restore at "
-                                    "depth %d" % (tw.tid, depth))
-                            call_cycles += restore_cost
-                            target = below[cwp]
-                            if wim[target]:
-                                # Underflow: the in-place restore
-                                # (§3.2); the CWP does not move.
-                                handle_underflow(tw)
+                                if not gen_stack:
+                                    if verify and tw.depth != 1:
+                                        raise WindowIntegrityError(
+                                            "thread %s finished at call "
+                                            "depth %d"
+                                            % (thread.name, tw.depth))
+                                    thread.result = value
+                                    thread.state = DONE
+                                    scheme.retire(tw)
+                                    self.current = None
+                                    if events_on:
+                                        events.emit("retire", tid=thread.tid,
+                                                    name=thread.name)
+                                    for waiter in thread.join_waiters:
+                                        waiter.blocked_on = None
+                                        if events_on:
+                                            events.emit("wake", tid=waiter.tid,
+                                                        on=thread.name,
+                                                        op="join")
+                                        ready.push_woken(waiter)
+                                    del thread.join_waiters[:]
+                                    break  # EXIT_DONE
+                                cwp = wf.cwp
+                                if verify:
+                                    sig = regs[in_base[cwp] + 8]
+                                    if sig != ("sig", thread.tid, tw.depth):
+                                        thread.returns += 1
+                                        raise WindowIntegrityError(
+                                            "thread %s frame signature "
+                                            "corrupted: %r at depth %d"
+                                            % (thread.name, sig, tw.depth),
+                                            thread=thread.name,
+                                            depth=tw.depth)
+                                # The return value travels through the
+                                # in/out overlap across the restore
+                                # (written before, read after).
+                                regs[in_base[cwp]] = value
+                                # -- WindowCPU.restore, inlined --
+                                if faulted and (cpu.current is not tw
+                                                or tw.cwp != cwp):
+                                    thread.returns += 1
+                                    cpu._check_running(tw)
                                 depth = tw.depth
-                            else:
-                                kinds[cwp] = FREE
-                                tids[cwp] = None
-                                wf.cwp = target
-                                tw.cwp = target
-                                tw.resident -= 1
-                                depth -= 1
-                                tw.depth = depth
-                            if depth < low:
-                                low = depth
-                            got = regs[out_base[wf.cwp]]
-                            if verify and got is not value \
-                                    and got != value:
-                                raise WindowIntegrityError(
-                                    "return value of %s corrupted "
-                                    "across restore: %r != %r"
-                                    % (thread.name, got, value),
-                                    thread=thread.name, depth=tw.depth)
-                            resume = got
-                            gen = gen_stack[-1]
-                            steps += 1
-                            continue
-                        resume = None
+                                if depth <= 1:
+                                    thread.returns += 1
+                                    raise WindowGeometryError(
+                                        "thread %d executed restore at "
+                                        "depth %d" % (tw.tid, depth))
+                                if fault_restore is not None:
+                                    fault_restore(cpu, tw)
+                                if eager:
+                                    counters.call_cycles += restore_cost
+                                else:
+                                    call_cycles += restore_cost
+                                n_restores += 1
+                                target = below[cwp]
+                                if wim[target]:
+                                    # Underflow: the in-place restore
+                                    # (§3.2); the CWP does not move.
+                                    handle_underflow(tw)
+                                    depth = tw.depth
+                                    if events_on:
+                                        events.emit("restore", tid=tw.tid,
+                                                    window=wf.cwp, depth=depth,
+                                                    inplace=True)
+                                else:
+                                    kinds[cwp] = FREE
+                                    tids[cwp] = None
+                                    wf.cwp = target
+                                    tw.cwp = target
+                                    tw.resident -= 1
+                                    depth -= 1
+                                    tw.depth = depth
+                                    if events_on:
+                                        events.emit("restore", tid=tw.tid,
+                                                    window=target, depth=depth,
+                                                    freed=cwp, inplace=False)
+                                if depth < low:
+                                    low = depth
+                                got = regs[out_base[wf.cwp]]
+                                if verify and got is not value \
+                                        and got != value:
+                                    raise WindowIntegrityError(
+                                        "return value of %s corrupted "
+                                        "across restore: %r != %r"
+                                        % (thread.name, got, value),
+                                        thread=thread.name, depth=tw.depth)
+                                resume = got
+                                if audit:
+                                    self._steps = steps
+                                    self._audit()
+                                gen = gen_stack[-1]
+                                steps += 1
+                                continue
+                            resume = None
+                        else:
+                            cmd = redo
+                            redo = None
                         t = type(cmd)
                         if t is Tick_:
-                            compute += cmd.cycles
+                            if eager:
+                                counters.compute_cycles += cmd.cycles
+                            else:
+                                compute += cmd.cycles
                             progress += 1
                         elif t is Call_:
                             progress += 1
@@ -857,17 +694,35 @@ class Kernel:
                                 for i, a in enumerate(args[:8]):
                                     regs[ob + i] = a
                             # -- WindowCPU.save, inlined --
+                            if faulted:
+                                if cpu.current is not tw or tw.cwp != cwp:
+                                    thread.calls += 1
+                                    cpu._check_running(tw)
+                                if fault_save is not None:
+                                    fault_save(cpu, tw)
+                                    cwp = wf.cwp
+                            if eager:
+                                counters.call_cycles += save_cost
+                            else:
+                                call_cycles += save_cost
                             n_saves += 1
-                            call_cycles += save_cost
                             target = above[cwp]
                             if wim[target]:
-                                handle_overflow(tw)
-                                target = above[wf.cwp]
-                                if wim[target]:
-                                    raise WindowGeometryError(
-                                        "overflow handler left target "
-                                        "window %d invalid" % target,
-                                        window=target, thread=tw.tid)
+                                action = (faults.take_trap_action(tw)
+                                          if faulted else None)
+                                # a dropped trap falls through: the save
+                                # runs straight into the invalid window
+                                if action != "drop":
+                                    handle_overflow(tw)
+                                    if action == "dup":
+                                        handle_overflow(tw)
+                                    target = above[wf.cwp]
+                                    if wim[target]:
+                                        raise WindowGeometryError(
+                                            "overflow handler left "
+                                            "target window %d invalid"
+                                            % target, window=target,
+                                            thread=tw.tid)
                             wf.cwp = target
                             tw.cwp = target
                             tw.resident += 1
@@ -877,6 +732,9 @@ class Kernel:
                                 high = depth
                             kinds[target] = FRAME
                             tids[target] = tw.tid
+                            if events_on:
+                                events.emit("save", tid=tw.tid,
+                                            window=target, depth=depth)
                             if verify:
                                 ib = in_base[target]
                                 for i, a in enumerate(args[:8]):
@@ -890,11 +748,17 @@ class Kernel:
                                             thread=thread.name,
                                             argument=i, depth=depth)
                                 regs[ib + 8] = ("sig", thread.tid, depth)
+                            if audit:
+                                self._steps = steps
+                                self._audit()
                             gen = cmd.factory(*args)
                             gen_stack.append(gen)
                         elif t is Read_:
                             stream = cmd.stream
-                            steps += 1  # the attempt iteration
+                            steps += 1  # the step that tries to complete it
+                            if steps >= hook_limit:
+                                self._check_step(thread, steps, progress,
+                                                 max_steps, cmd, entry)
                             sdata = stream._data
                             if sdata or stream.closed:
                                 # -- Stream.pull, inlined --
@@ -910,8 +774,7 @@ class Kernel:
                                 if take:
                                     stream.bytes_read += take
                                     if stream.write_waiters:
-                                        if fifo_wake \
-                                                and not self._tracing:
+                                        if fast_wake:
                                             for waiter in \
                                                     stream.write_waiters:
                                                 waiter.blocked_on = None
@@ -925,17 +788,16 @@ class Kernel:
                                 resume = data
                                 # completion shares the next send's step
                                 continue
-                            # -- _block, inlined --
-                            thread.pending = ("read", stream,
-                                              cmd.max_bytes)
+                            # -- block: the op stays pending --
+                            thread.pending = cmd
                             stream.read_waiters.append(thread)
                             thread.blocked_on = stream.read_label
                             thread.state = BLOCKED_
                             thread.blocks += 1
                             self.last_suspended = thread
                             self.current = None
-                            if self._tracing:
-                                self.events.emit(
+                            if events_on:
+                                events.emit(
                                     "block", tid=thread.tid,
                                     on=stream.name or "stream", op="read")
                             break  # EXIT_BLOCKED
@@ -943,6 +805,9 @@ class Kernel:
                             stream = cmd.stream
                             data = cmd.data
                             steps += 1
+                            if steps >= hook_limit:
+                                self._check_step(thread, steps, progress,
+                                                 max_steps, cmd, entry)
                             # -- Stream.push, inlined --
                             if stream.closed:
                                 raise StreamClosedError(
@@ -959,7 +824,7 @@ class Kernel:
                             if pushed:
                                 stream.bytes_written += pushed
                                 if stream.read_waiters:
-                                    if fifo_wake and not self._tracing:
+                                    if fast_wake:
                                         for waiter in \
                                                 stream.read_waiters:
                                             waiter.blocked_on = None
@@ -971,17 +836,17 @@ class Kernel:
                             if pushed >= want:
                                 progress += 1
                                 continue
-                            # -- _block, inlined --
-                            thread.pending = ("write", stream, data,
-                                              pushed)
+                            # -- block: the op stays pending --
+                            thread.pending = (Write_(stream, data[pushed:])
+                                              if pushed else cmd)
                             stream.write_waiters.append(thread)
                             thread.blocked_on = stream.write_label
                             thread.state = BLOCKED_
                             thread.blocks += 1
                             self.last_suspended = thread
                             self.current = None
-                            if self._tracing:
-                                self.events.emit(
+                            if events_on:
+                                events.emit(
                                     "block", tid=thread.tid,
                                     on=stream.name or "stream",
                                     op="write")
@@ -989,6 +854,9 @@ class Kernel:
                         elif t is ReadLine_:
                             stream = cmd.stream
                             steps += 1
+                            if steps >= hook_limit:
+                                self._check_step(thread, steps, progress,
+                                                 max_steps, cmd, entry)
                             # -- has_line/at_eof/pull_line, inlined --
                             sdata = stream._data
                             idx = sdata.find(b"\n")
@@ -1008,22 +876,22 @@ class Kernel:
                                         "readline on %r: line longer "
                                         "than the stream capacity"
                                         % stream.name)
-                                # -- _block, inlined --
-                                thread.pending = ("readline", stream)
+                                # -- block: the op stays pending --
+                                thread.pending = cmd
                                 stream.read_waiters.append(thread)
                                 thread.blocked_on = stream.read_label
                                 thread.state = BLOCKED_
                                 thread.blocks += 1
                                 self.last_suspended = thread
                                 self.current = None
-                                if self._tracing:
-                                    self.events.emit(
+                                if events_on:
+                                    events.emit(
                                         "block", tid=thread.tid,
                                         on=stream.name or "stream",
                                         op="read")
                                 break  # EXIT_BLOCKED
                             if line and stream.write_waiters:
-                                if fifo_wake and not self._tracing:
+                                if fast_wake:
                                     for waiter in stream.write_waiters:
                                         waiter.blocked_on = None
                                         waiter.state = READY_
@@ -1036,16 +904,27 @@ class Kernel:
                             continue
                         elif t is CloseStream_:
                             do_close(cmd.stream)
+                            if watchdog is not None \
+                                    and watchdog.note_idle(progress, steps):
+                                limit = steps + 1
                         elif t is YieldCPU_:
                             if ready:
+                                if events_on:
+                                    events.emit("yield", tid=thread.tid)
                                 ready.push_yielded(thread)
                                 self.last_suspended = thread
                                 self.current = None
                                 break  # EXIT_YIELDED
                             # Nobody else runnable: keep going, no
                             # switch, no cost.
+                            if watchdog is not None \
+                                    and watchdog.note_idle(progress, steps):
+                                limit = steps + 1
                         elif t is FlushHint_:
                             thread.flush_on_switch = cmd.flush
+                            if watchdog is not None \
+                                    and watchdog.note_idle(progress, steps):
+                                limit = steps + 1
                         elif t is Spawn_:
                             resume = self._spawn(cmd.factory, cmd.args,
                                                  cmd.name)
@@ -1057,20 +936,23 @@ class Kernel:
                                     "%s tried to join itself"
                                     % thread.name)
                             steps += 1
+                            if steps >= hook_limit:
+                                self._check_step(thread, steps, progress,
+                                                 max_steps, cmd, entry)
                             if target_t.state == DONE:
                                 progress += 1
                                 resume = target_t.result
                                 continue
-                            # -- _block, inlined --
-                            thread.pending = ("join", target_t)
+                            # -- block: the op stays pending --
+                            thread.pending = cmd
                             target_t.join_waiters.append(thread)
                             thread.blocked_on = "join %s" % target_t.name
                             thread.state = BLOCKED_
                             thread.blocks += 1
                             self.last_suspended = thread
                             self.current = None
-                            if self._tracing:
-                                self.events.emit(
+                            if events_on:
+                                events.emit(
                                     "block", tid=thread.tid,
                                     on=target_t.name, op="join")
                             break  # EXIT_BLOCKED
@@ -1079,6 +961,11 @@ class Kernel:
                                 "thread %s yielded %r; expected a "
                                 "runtime op" % (thread.name, cmd))
                         steps += 1
+                    else:
+                        # the budget ran out, or the watchdog fires at
+                        # this step (an idle op lowered the limit)
+                        self._check_step(thread, steps, progress,
+                                         max_steps)
                 finally:
                     # Quantum boundary: fold the per-thread statistics
                     # (the run-global accumulators keep accumulating).
@@ -1107,23 +994,26 @@ class Kernel:
                             prof_cd = prof._cd
                 # Quantum boundary seen by the observers: the cycle
                 # clock they read must be exact, so the lazy cycle
-                # accumulators fold first (observed runs only).
+                # accumulators fold first.  So they do for a bus that
+                # came alive mid-quantum, before the switch it traces
+                # (and the next quantum then counts eagerly).
                 observed = self._observers
-                if observed:
+                if observed or self._tracing:
                     if compute:
                         counters.compute_cycles += compute
                         compute = 0
                     if call_cycles:
                         counters.call_cycles += call_cycles
                         call_cycles = 0
-                    self._quantum_ended(thread, low, high)
+                    if observed:
+                        self._quantum_ended(thread, low, high)
+                if watchdog is not None and thread.state != DONE:
+                    # a block or a yield: the last step made no progress
+                    watchdog.note_idle(progress, steps)
                 # Dispatch the next thread without leaving the frame.
-                if self._tracing:
-                    return  # a subscriber attached mid-run: compat loop
                 if not queue:
                     return  # all done, or deadlock (outer loop decides)
-                # _dispatch, inlined minus the trace emit (tracing was
-                # just checked, and it can only flip inside a quantum)
+                # -- _dispatch, inlined --
                 if ready.sample_slackness:
                     ready.slackness_samples.append(len(queue) - 1)
                 nxt = popleft()
@@ -1143,12 +1033,18 @@ class Kernel:
                     nxt.start_root()
                     if verify:
                         cpu.write_local(0, ("sig", nxt.tid, 1))
+                if self._tracing:
+                    events.emit("dispatch", tid=nxt.tid,
+                                depth=nxt.windows.depth)
                 if observed:
                     self._quantum_started(
                         nxt, counters.switch_cycles - switched_from)
+                if audit:
+                    self._steps = steps
+                    self._audit()
         finally:
-            self._steps += steps
-            self._progress += progress
+            self._steps = steps
+            self._progress = progress
             if compute:
                 counters.compute_cycles += compute
             if call_cycles:
@@ -1160,160 +1056,40 @@ class Kernel:
             if prof is not None:
                 prof._cd = prof_cd
 
-    # -- call / return ----------------------------------------------------------
+    # -- step-start checks (the slow path of the hooks) -----------------------
 
-    def _do_call(self, thread: SimThread, cmd: Call) -> None:
-        thread.calls += 1
-        self._progress += 1
-        cpu = self.cpu
-        tw = thread.windows
-        args = cmd.args
-        if self.verify_registers:
-            for i, a in enumerate(args[:8]):
-                cpu.write_out(i, a)
-        cpu.save(tw)
-        if self.verify_registers:
-            for i, a in enumerate(args[:8]):
-                got = cpu.read_in(i)
-                if got is not a and got != a:
-                    raise WindowIntegrityError(
-                        "argument %d of %s corrupted across save: %r != %r"
-                        % (i, thread.name, got, a),
-                        thread=thread.name, argument=i, depth=tw.depth)
-            cpu.write_local(0, ("sig", thread.tid, tw.depth))
-        if self.audit:
-            self._audit()
-        thread.gen_stack.append(cmd.factory(*args))
-        thread.resume_value = None
-
-    def _handle_return(self, thread: SimThread, value: Any) -> bool:
-        """Pop a finished procedure; True when the thread is done."""
-        thread.gen_stack.pop()
-        self._progress += 1
-        tw = thread.windows
-        cpu = self.cpu
-        if not thread.gen_stack:
-            if self.verify_registers and tw.depth != 1:
-                raise WindowIntegrityError(
-                    "thread %s finished at call depth %d"
-                    % (thread.name, tw.depth))
-            thread.result = value
-            thread.state = DONE
-            self.scheme.retire(tw)
-            self.current = None
-            events_on = self._tracing
-            if events_on:
-                self.events.emit("retire", tid=thread.tid,
-                                 name=thread.name)
-            for waiter in thread.join_waiters:
-                waiter.blocked_on = None
-                if events_on:
-                    self.events.emit("wake", tid=waiter.tid,
-                                     on=thread.name, op="join")
-                self.ready.push_woken(waiter)
-            del thread.join_waiters[:]
-            return True
-        thread.returns += 1
-        if self.verify_registers:
-            sig = cpu.read_local(0)
-            if sig != ("sig", thread.tid, tw.depth):
-                raise WindowIntegrityError(
-                    "thread %s frame signature corrupted: %r at depth %d"
-                    % (thread.name, sig, tw.depth),
-                    thread=thread.name, depth=tw.depth)
-        wf = cpu.wf
-        wf._regs[wf._in_base[wf.cwp]] = value
-        cpu.restore(tw)
-        got = wf._regs[wf._out_base[wf.cwp]]
-        if self.verify_registers and got is not value and got != value:
-            raise WindowIntegrityError(
-                "return value of %s corrupted across restore: %r != %r"
-                % (thread.name, got, value),
-                thread=thread.name, depth=tw.depth)
-        thread.resume_value = got
-        if self.audit:
-            self._audit()
-        return False
-
-    # -- blocking stream operations ------------------------------------------------
-
-    def _continue_pending(self, thread: SimThread) -> bool:
-        """Try to complete the in-flight op; False means block."""
-        pending = thread.pending
-        kind = pending[0]
-        stream: Stream = pending[1]
-        if kind == "write":
-            data, offset = pending[2], pending[3]
-            pushed = stream.push(data[offset:])
-            if pushed:
-                offset += pushed
-                if stream.read_waiters:
-                    self._wake_readers(stream)
-            if offset >= len(data):
-                thread.pending = None
-                thread.resume_value = None
-                return True
-            thread.pending = ("write", stream, data, offset)
-            return False
-        if kind == "read":
-            if stream.is_empty and not stream.closed:
-                return False
-            data = stream.pull(pending[2])
-            if data and stream.write_waiters:
-                self._wake_writers(stream)
-            thread.pending = None
-            thread.resume_value = data
-            return True
-        if kind == "readline":
-            if stream.has_line() or stream.at_eof:
-                line = stream.pull_line()
-                if line is None:
-                    line = b""
-                if line and stream.write_waiters:
-                    self._wake_writers(stream)
-                thread.pending = None
-                thread.resume_value = line
-                return True
-            if stream.is_full:
-                raise RuntimeFault(
-                    "readline on %r: line longer than the stream capacity"
-                    % stream.name)
-            return False
-        if kind == "join":
-            target: SimThread = pending[1]
-            if target.state != DONE:
-                return False
-            thread.pending = None
-            thread.resume_value = target.result
-            return True
-        raise RuntimeFault("unknown pending op %r" % kind)
-
-    def _block(self, thread: SimThread) -> None:
-        pending = thread.pending
-        kind = pending[0]
-        if kind == "join":
-            target: SimThread = pending[1]
-            target.join_waiters.append(thread)
-            thread.blocked_on = "join %s" % target.name
-        elif kind == "write":
-            stream: Stream = pending[1]
-            stream.write_waiters.append(thread)
-            thread.blocked_on = stream.write_label
+    def _check_step(self, thread: SimThread, step: int, progress: int,
+                    max_steps: Optional[int], op=None,
+                    entry: int = 0) -> None:
+        """The checks at the start of ``step`` — the budget, then the
+        watchdog — for a quantum's entry step, or (``op`` given) for
+        the step that tries to complete the blocking ``op``: issued by
+        the previous step, or re-dispatched at the quantum's ``entry``
+        step.  An escaping error leaves ``op`` pending on the thread,
+        as the reference loop does."""
+        if max_steps is not None and step >= max_steps:
+            error = RuntimeFault("step budget of %d exceeded" % max_steps)
         else:
-            stream = pending[1]
-            stream.read_waiters.append(thread)
-            thread.blocked_on = stream.read_label
-        thread.state = BLOCKED
-        thread.blocks += 1
-        self.last_suspended = thread
-        self.current = None
-        if self._tracing:
-            if kind == "join":
-                op, on = "join", pending[1].name
+            watchdog = self._watchdog
+            if watchdog is None:
+                return
+            if op is None:
+                stall = watchdog.stall(progress, step)
             else:
-                op = "write" if kind == "write" else "read"
-                on = pending[1].name or "stream"
-            self.events.emit("block", tid=thread.tid, on=on, op=op)
+                stall = watchdog.check_resume(progress, step, step != entry)
+            if stall < watchdog.max_stall:
+                return
+            error = LivelockError(
+                "no progress for %d steps (watchdog max_stall=%d); "
+                "threads: %s" % (stall, watchdog.max_stall,
+                                 ", ".join("%s=%s" % (t.name, t.state)
+                                           for t in self.threads)),
+                max_stall=watchdog.max_stall, progress=progress)
+        if op is not None:
+            thread.pending = op
+        raise error
+
+    # -- stream helpers -------------------------------------------------------
 
     def _do_close(self, stream: Stream) -> None:
         if not stream.closed and stream.events is not None:

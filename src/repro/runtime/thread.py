@@ -32,9 +32,10 @@ class SimThread:
         self.gen_stack: List[Any] = []
         #: value to send into the top generator at the next resume
         self.resume_value: Any = None
-        #: in-flight blocking operation, resumed before the generator is
-        #: (op kind, stream, payload...)
-        self.pending: Optional[tuple] = None
+        #: the blocking op (Read, ReadLine, Write or Join) the thread
+        #: waits to complete, retried before the generator resumes; a
+        #: partly done Write holds just the bytes still to write
+        self.pending: Any = None
         #: what the thread is blocked on, for diagnostics
         self.blocked_on: Optional[str] = None
         #: return value of the root procedure

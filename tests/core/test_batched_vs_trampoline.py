@@ -13,6 +13,10 @@ both loops over the same workloads and compares full run snapshots:
 * hypothesis-generated random programs (random thread counts, stream
   topologies, call depths, chunk sizes) — deadlocks count as agreement
   when both cores report the identical deadlock;
+* the same workloads with a TraceRecorder attached: identical event
+  lists, kinds, cycle stamps and attributes;
+* every fault kind of :data:`repro.faults.plan.FAULT_KINDS`: the same
+  firings, the same error and the same run snapshot;
 * golden pins for the spellchecker and a synthetic app, so a
   regression that changes *both* cores in lockstep still trips.
 """
@@ -73,27 +77,39 @@ def snapshot(kernel, result, error):
     return snap
 
 
-def run_core(core, build, scheme, n_windows, keep_trace=True, **kw):
-    """Build a workload on a fresh kernel and run it to the end."""
+def run_core(core, build, scheme, n_windows, keep_trace=True,
+             traced=False, max_steps=None, **kw):
+    """Build a workload on a fresh kernel and run it to the end
+    (``traced``: with a TraceRecorder, whose events join the
+    snapshot)."""
     kernel = make_kernel(core=core, n_windows=n_windows, scheme=scheme,
                          **kw)
     kernel.counters.keep_trace = keep_trace
+    recorder = kernel.enable_tracing() if traced else None
     build(kernel)
     result = error = None
     try:
-        result = kernel.run()
+        result = kernel.run(max_steps=max_steps)
     except Exception as exc:
         # Deadlocks and runtime faults (e.g. a random program writing
         # to a stream a peer closed) are legal outcomes — both cores
         # must fail at the same point with the same enriched message.
         error = exc
-    return snapshot(kernel, result, error)
+    snap = snapshot(kernel, result, error)
+    if recorder is not None:
+        snap["events"] = trace_of(recorder)
+    return snap
+
+
+def trace_of(recorder):
+    return [(e.kind, e.cycle, e.tid, e.attrs) for e in recorder]
 
 
 def assert_equivalent(build, scheme, n_windows, **kw):
     gen = run_core("generator", build, scheme, n_windows, **kw)
     bat = run_core("batched", build, scheme, n_windows, **kw)
     assert gen == bat, _diff(gen, bat)
+    return bat
 
 
 def _diff(gen, bat):
@@ -231,6 +247,17 @@ def test_synthetic_workloads_bit_identical(workload, scheme, n_windows):
     assert_equivalent(WORKLOADS[workload], scheme, n_windows)
 
 
+@pytest.mark.parametrize("n_windows", WINDOW_SIZES)
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_synthetic_workloads_traces_identical(workload, scheme, n_windows):
+    snap = assert_equivalent(WORKLOADS[workload], scheme, n_windows,
+                             traced=True)
+    kinds = {event[0] for event in snap["events"]}
+    assert {"dispatch", "switch", "save", "restore", "retire",
+            "run_end"} <= kinds
+
+
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_register_verification_on(scheme):
     """verify_registers exercises the save/restore data paths too."""
@@ -239,9 +266,8 @@ def test_register_verification_on(scheme):
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_event_bus_traces_identical(scheme):
-    """With a live event-bus subscriber both loops take the
-    step-granular path; the recorded event streams must still match
-    exactly on an ordinary kernel."""
+    """A subscriber attached before the run: the recorded event
+    streams of the two loops match exactly."""
 
     def run_traced(core):
         kernel = make_kernel(core=core, n_windows=8, scheme=scheme)
@@ -251,6 +277,140 @@ def test_event_bus_traces_identical(scheme):
         return [(e.kind, e.cycle, e.tid, e.attrs) for e in recorder]
 
     assert run_traced("generator") == run_traced("batched")
+
+
+def test_subscriber_attached_mid_run_traces_identically():
+    """An observer that subscribes a TraceRecorder from
+    ``on_quantum_start``: the quantum it starts is traced in full on
+    both loops, with exact cycle stamps (the batched loop's lazy cycle
+    accumulators must be folded before the first event)."""
+
+    def leaf():
+        yield Tick(1)
+        return 0
+
+    class LateTracer:
+        def __init__(self, kernel):
+            self.kernel = kernel
+            self.starts = 0
+            self.recorder = None
+
+        def on_quantum_start(self, *args):
+            self.starts += 1
+            if self.starts == 3:
+                self.recorder = self.kernel.enable_tracing()
+
+        def on_quantum_end(self, *args):
+            pass
+
+        def on_run_end(self, kernel, cycle):
+            pass
+
+    def run(core):
+        kernel = make_kernel(core=core, n_windows=6, scheme="SP")
+        tracer = kernel.observe(LateTracer(kernel))
+        stream = kernel.stream(2, "s")
+
+        def producer():
+            for __ in range(6):
+                yield Call(leaf)
+                yield Tick(7)
+                yield Write(stream, b"xy")
+            yield CloseStream(stream)
+
+        def consumer():
+            while (yield Read(stream, 1)):
+                yield Tick(3)
+
+        kernel.spawn(producer, name="producer")
+        kernel.spawn(consumer, name="consumer")
+        kernel.run()
+        return trace_of(tracer.recorder)
+
+    reference = run("generator")
+    assert len(reference) == 60
+    assert run("batched") == reference
+
+
+def test_subscriber_attached_by_a_thread_exact_from_next_switch():
+    """A thread that subscribes mid-quantum: the batched loop reads the
+    bus once per quantum, so the rest of that quantum is traced only
+    where the scheme publishes; from the next context switch on, the
+    trace (stamps included) equals the reference loop's."""
+
+    def leaf():
+        yield Tick(1)
+        return 0
+
+    def run(core):
+        kernel = make_kernel(core=core, n_windows=6, scheme="SP")
+        stream = kernel.stream(2, "s")
+        box = {}
+
+        def producer():
+            for i in range(6):
+                if i == 2:
+                    box["recorder"] = kernel.enable_tracing()
+                yield Call(leaf)
+                yield Tick(7)
+                yield Write(stream, b"xy")
+            yield CloseStream(stream)
+
+        def consumer():
+            while (yield Read(stream, 1)):
+                yield Tick(3)
+
+        kernel.spawn(producer, name="producer")
+        kernel.spawn(consumer, name="consumer")
+        kernel.run()
+        events = trace_of(box["recorder"])
+        first = [e[0] for e in events].index("switch")
+        return events[first:]
+
+    reference = run("generator")
+    assert len(reference) > 20
+    assert run("batched") == reference
+
+
+# -- fault injection -----------------------------------------------------
+
+
+#: one plan per fault kind that fires on the pipeline at 8 windows
+FAULT_SPECS = {
+    "register": "register@3:0",
+    "retval": "retval@5",
+    "wim": "wim@4",
+    "cwp": "cwp@4",
+    "trap_drop": "trap_drop@2",
+    "trap_dup": "trap_dup@2",
+    "store_corrupt": "store_corrupt@1",
+    "store_fail": "store_fail@1",
+    "store_delay": "store_delay@1",
+    "sched": "sched@3",
+}
+
+
+def test_fault_specs_cover_every_kind():
+    from repro.faults.plan import FAULT_KINDS
+
+    assert sorted(FAULT_SPECS) == sorted(FAULT_KINDS)
+
+
+@pytest.mark.parametrize("traced", (False, True), ids=("plain", "traced"))
+@pytest.mark.parametrize("kind", sorted(FAULT_SPECS))
+def test_fault_kinds_identical(kind, traced):
+    from repro.faults import FaultInjector, FaultPlan
+
+    runs = {}
+    for core in CORES:
+        injector = FaultInjector(FaultPlan.parse(FAULT_SPECS[kind], seed=5))
+        snap = run_core(core, build_pipeline, "SP", 8, traced=traced,
+                        faults=injector, verify_registers=True)
+        snap["fired"] = injector.fired
+        runs[core] = snap
+    assert runs["generator"]["fired"], "fault %s never fired" % kind
+    assert runs["generator"] == runs["batched"], \
+        _diff(runs["generator"], runs["batched"])
 
 
 # -- hypothesis-driven random programs -----------------------------------
@@ -324,6 +484,29 @@ def test_random_programs_bit_identical(threads_spec, scheme, n_windows,
                                        close_all):
     assert_equivalent(build_random(threads_spec, close_all),
                       scheme, n_windows)
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(threads_spec=PROGRAMS, scheme=st.sampled_from(SCHEMES),
+       n_windows=st.sampled_from(WINDOW_SIZES),
+       close_all=st.booleans())
+def test_random_programs_traces_identical(threads_spec, scheme, n_windows,
+                                          close_all):
+    assert_equivalent(build_random(threads_spec, close_all),
+                      scheme, n_windows, traced=True)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(threads_spec=PROGRAMS, scheme=st.sampled_from(SCHEMES),
+       max_stall=st.integers(1, 6), max_steps=st.integers(1, 150))
+def test_random_programs_under_watchdog_and_budget(threads_spec, scheme,
+                                                   max_stall, max_steps):
+    """Small stall limits and budgets land on every kind of step:
+    both loops must stop at the same step with the same error."""
+    assert_equivalent(build_random(threads_spec, True), scheme, 8,
+                      watchdog=max_stall, max_steps=max_steps)
 
 
 # -- golden pins ---------------------------------------------------------

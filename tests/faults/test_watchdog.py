@@ -28,6 +28,28 @@ class TestWatchdogUnit:
     def test_default_threshold_is_generous(self):
         assert Watchdog().max_stall == DEFAULT_MAX_STALL
 
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("max_stall", (1, 2, 3, 5))
+    def test_lazy_form_matches_per_step_checks(self, seed, max_stall):
+        """Noting only the steps without progress (and the steps that
+        resume a blocked op) gives the per-step verdict at every step."""
+        import random
+
+        rng = random.Random(seed)
+        eager, lazy = Watchdog(max_stall), Watchdog(max_stall)
+        marks = 0
+        for step in range(1, 300):
+            fires = eager.expired(marks, step)
+            if rng.random() < 0.3:  # the step resumes a blocked op
+                stall = lazy.check_resume(marks, step, issued=False)
+            else:
+                stall = lazy.stall(marks, step)
+            assert (stall >= max_stall) == fires, step
+            if rng.random() < 0.4:
+                marks += 1      # the step made progress
+            else:
+                lazy.note_idle(marks, step)
+
 
 def spinner():
     while True:

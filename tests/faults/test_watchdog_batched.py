@@ -1,10 +1,11 @@
-"""Watchdog + fault injection under the batched loop's auto-fallback.
+"""Watchdog + fault injection as hooks on the batched loop.
 
-A kernel with a watchdog or fault injector armed must drop onto the
-step-granular loop (the batched loop has no per-step hooks), detect
-livelock exactly as the reference loop does, capture a
-replayable LivelockError bundle, and round-trip that bundle through
-the delta-debugging minimizer.
+A kernel with a watchdog or fault injector armed runs the one
+execution loop, ``Kernel._run_batched``, with those features as
+hooks.  It must detect livelock at exactly the step, cycle and counter
+state the step-granular reference loop (``tests/support/trampoline.py``)
+does, capture a replayable LivelockError bundle, and round-trip that
+bundle through the delta-debugging minimizer.
 """
 
 import pytest
@@ -45,7 +46,7 @@ STORM_CONFIG = {
 }
 
 
-class TestAutoFallback:
+class TestWatchdogHooks:
     def test_watchdog_livelock_fires_under_batched_core(self):
         kernel = storm_kernel("batched")
         with pytest.raises(LivelockError) as info:
@@ -54,8 +55,9 @@ class TestAutoFallback:
         assert "step" in info.value.context
 
     def test_batched_matches_generator_with_watchdog(self):
-        """The fallback is bit-identical: same failing step, same
-        cycle count, same counters on both cores."""
+        """The watchdog hook is bit-identical to the reference loop's
+        per-step check: same failing step, same cycle count, same
+        counters."""
         errors = {}
         for core in ("batched", "generator"):
             kernel = storm_kernel(core)
@@ -67,8 +69,8 @@ class TestAutoFallback:
         assert errors["batched"] == errors["generator"]
 
     def test_watchdog_and_faults_combined_under_batched(self):
-        """Both step-granular hooks armed at once: the survivable
-        sched fault fires *and* the watchdog still catches the storm."""
+        """Both hooks armed at once: the survivable sched fault fires
+        *and* the watchdog still catches the storm."""
         injector = FaultInjector(FaultPlan.parse("sched@2", seed=7))
         kernel = storm_kernel("batched", faults=injector)
         with pytest.raises(LivelockError) as info:

@@ -160,8 +160,8 @@ class TestKernelPublishing:
 
 class TestLegacyAliases:
     def test_tracker_alias_observes_quanta(self):
-        """The tracker observes quantum boundaries; it no longer
-        subscribes to the bus (which would select the step loop)."""
+        """The tracker observes quantum boundaries; it does not
+        subscribe to the bus."""
         kernel = Kernel(n_windows=8, scheme="SP")
         tracker = BehaviorTracker()
         kernel.tracker = tracker

@@ -6,11 +6,12 @@ which leave the run on the batched loop.  Two contracts pin that:
 
 * **differential** — the report is byte-identical to the one the
   event-bus oracle (:mod:`tests.support.report_oracle`: a TraceRecorder
-  plus bus-fed tracker and timeline, on the step-granular loop)
-  produces for the same spec, including faulted, audited and
-  watchdog-guarded specs, which stay on the step-granular loop;
-* **production loop** — report observers never enter
-  ``Kernel._run_quantum``; a live bus subscriber still does.
+  plus bus-fed tracker and timeline, on the step-granular reference
+  loop) produces for the same spec, including faulted, audited and
+  watchdog-guarded specs;
+* **production loop** — the kernel has one execution loop: report
+  observers, bus subscribers, faults, the watchdog, step budgets, the
+  audit and crash bundles all run on ``Kernel._run_batched``.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import pytest
 
 from repro import Call, CloseStream, Kernel, Read, Spawn, Tick, Write, YieldCPU
 from repro.experiments.harness import run_report_point
+from repro.faults import FaultInjector, FaultPlan
 from repro.metrics.behavior import BehaviorTracker
 from repro.metrics.events import percentile, percentile_of_histogram
 from repro.metrics.quanta import QuantumLog
@@ -67,17 +69,17 @@ def test_step_granular_reports_match_bus_oracle(knobs):
 
 
 @pytest.fixture
-def quantum_calls(monkeypatch):
-    """Count entries into the step-granular loop."""
-    calls = []
-    step_loop = Kernel._run_quantum
+def loop_entries(monkeypatch):
+    """Record every entry into the kernel's execution loop."""
+    entries = []
+    loop = Kernel._run_batched
 
-    def counted(kernel, max_steps):
-        calls.append(kernel)
-        return step_loop(kernel, max_steps)
+    def counted(kernel, max_steps=None):
+        entries.append(kernel)
+        return loop(kernel, max_steps)
 
-    monkeypatch.setattr(Kernel, "_run_quantum", counted)
-    return calls
+    monkeypatch.setattr(Kernel, "_run_batched", counted)
+    return entries
 
 
 def _producer(stream, items):
@@ -110,27 +112,52 @@ def _pipeline(kernel, items=30):
     return kernel
 
 
-def test_vanilla_report_point_runs_batched(quantum_calls):
+def test_vanilla_report_point_runs_batched(loop_entries):
     report = run_report_point("SP", 8, "high", "fine", scale=SCALE)
     assert report["behavior"] and report["timeline"] and report["events"]
-    assert quantum_calls == []
+    assert len(loop_entries) == 1
 
 
-def test_tracker_and_timeline_run_batched(quantum_calls):
+def test_tracker_and_timeline_run_batched(loop_entries):
     kernel = Kernel(n_windows=8, scheme="SNP")
     kernel.tracker = BehaviorTracker()
     kernel.timeline = OccupancyTimeline()
     _pipeline(kernel).run()
     assert kernel.tracker.quanta and kernel.timeline.samples
-    assert quantum_calls == []
+    assert loop_entries == [kernel]
 
 
-def test_trace_recorder_still_selects_step_loop(quantum_calls):
-    kernel = Kernel(n_windows=8, scheme="SNP")
-    kernel.tracker = BehaviorTracker()
-    kernel.enable_tracing()
-    _pipeline(kernel).run()
-    assert quantum_calls
+#: the configurations that, before the loop had hooks, selected a
+#: second, step-granular loop
+LOOP_CONFIGS = {
+    "plain": {},
+    "traced": {},
+    "faulted": {"faults": "store_delay@1,sched@2"},
+    "watchdog": {"watchdog": 500},
+    "budgeted": {"max_steps": 10**6},
+    "audited": {"audit": True},
+    "crash_dir": {"crash_dir": True},
+}
+
+
+@pytest.mark.parametrize("config", sorted(LOOP_CONFIGS))
+def test_every_configuration_runs_the_one_loop(config, loop_entries,
+                                               tmp_path):
+    knobs = dict(LOOP_CONFIGS[config])
+    max_steps = knobs.pop("max_steps", None)
+    if "faults" in knobs:
+        knobs["faults"] = FaultInjector(FaultPlan.parse(knobs["faults"]))
+    if "crash_dir" in knobs:
+        knobs["crash_dir"] = tmp_path
+    kernel = Kernel(n_windows=4, scheme="SNP", **knobs)
+    recorder = kernel.enable_tracing() if config == "traced" else None
+    result = _pipeline(kernel).run(max_steps=max_steps)
+    assert result.thread_results() == {"p": 30, "c": 30}
+    assert loop_entries == [kernel]
+    assert not hasattr(Kernel, "_run_quantum")
+    if recorder is not None:
+        kinds = {e.kind for e in recorder}
+        assert {"dispatch", "save", "restore", "yield", "retire"} <= kinds
 
 
 # -- the hook itself -------------------------------------------------------------

@@ -62,7 +62,7 @@ class TestGeneratorRetirement:
         one does."""
         from tests.support.trampoline import make_kernel
 
-        def batched_loop(self):
+        def batched_loop(self, max_steps=None):
             raise AssertionError("batched loop entered")
 
         monkeypatch.setattr(Kernel, "_run_batched", batched_loop)

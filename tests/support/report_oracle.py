@@ -1,13 +1,14 @@
 """Test-only reference oracle for RunReports: the event-bus observers.
 
 RunReports are built from quantum-boundary observers
-(:func:`repro.experiments.harness.attach_report_observers`), which keep
-the run on the batched loop.  Before that, every report came from three
-event-bus subscribers — a :class:`~repro.metrics.events.TraceRecorder`
-for the ``events`` section, and the tracker and timeline consuming
-``dispatch``/``save``/``restore``/``run_end`` events — which select the
-step-granular loop and see every single event.  This module keeps that
-path as the oracle the differential report test compares against.
+(:func:`repro.experiments.harness.attach_report_observers`).  Before
+that, every report came from three event-bus subscribers — a
+:class:`~repro.metrics.events.TraceRecorder` for the ``events``
+section, and the tracker and timeline consuming
+``dispatch``/``save``/``restore``/``run_end`` events — which see every
+single event.  This module keeps that path, run on the step-granular
+reference loop (``tests/support/trampoline.py``), as the oracle the
+differential report test compares the production path against.
 """
 
 from __future__ import annotations
@@ -17,10 +18,13 @@ from typing import Dict
 from repro.experiments import harness
 from repro.metrics.behavior import BehaviorTracker
 from repro.metrics.tracing import OccupancyTimeline
+from tests.support.trampoline import force_trampoline
 
 
 def attach_bus_observers(kernel) -> Dict[str, object]:
-    """The pre-hook report observers, all subscribed to the bus."""
+    """The pre-hook report observers, all subscribed to the bus, on
+    the reference loop."""
+    force_trampoline(kernel)
     tracker = BehaviorTracker()
     timeline = OccupancyTimeline()
     timeline.cpu = kernel.cpu
