@@ -302,8 +302,10 @@ def bench_ab_metrics(scale: Optional[float] = None,
     the gate builds a **cost model**:
 
     1. one fully-instrumented run yields the exact, deterministic event
-       counts (quanta, switches, traps, profiler checks, samples) and
-       the one-shot ``finalize`` fold time;
+       counts (quanta, profiler checks, samples) and the one-shot
+       ``finalize`` fold time — the switch and trap histograms are
+       folded from the schemes' cost counts there, so switches and
+       traps do no telemetry work of their own;
     2. tight-loop microbenchmarks measure each telemetry primitive's
        unit cost (best-of-5 over 200k iterations, so per-iteration
        noise averages out within a single timed region);
@@ -337,14 +339,11 @@ def bench_ab_metrics(scale: Optional[float] = None,
     telemetry.finalize(result)
     finalize_s = time.process_time() - start
     prof = telemetry.profiler
-    snap = result.counters.snapshot()
     counts = {
         # each quantum executes the profiler guard once (decrement +
         # compare in the dispatch loop's finally)
         "quanta": prof.checks * prof.check_every
                   + (prof.check_every - prof._cd),
-        "switch_appends": snap["context_switches"],
-        "trap_appends": snap["overflow_traps"] + snap["underflow_traps"],
         "checks": prof.checks,
         "samples": prof.samples,
     }
@@ -382,15 +381,6 @@ def bench_ab_metrics(scale: Optional[float] = None,
                 if prof._cd <= 0:
                     prof._check(None, None, ucounters)
 
-    def append_body(n):
-        buf = []
-        append_cycles = 37
-        for i in range(n):
-            if buf is not None:
-                buf.append(append_cycles)
-            if len(buf) >= 4096:
-                del buf[:]
-
     def check_body(n):
         # countdown expiry that reads the clock but crosses no boundary
         prof = uprof
@@ -422,15 +412,12 @@ def bench_ab_metrics(scale: Optional[float] = None,
 
     unit = {
         "guard_ns": unit_ns(guard_body),
-        "append_ns": unit_ns(append_body),
         "check_ns": unit_ns(check_body, iters=50_000),
         "sample_ns": unit_ns(sample_body, iters=50_000),
     }
 
     modeled_s = (
         counts["quanta"] * unit["guard_ns"]
-        + (counts["switch_appends"] + counts["trap_appends"])
-        * unit["append_ns"]
         + counts["checks"] * unit["check_ns"]
         + counts["samples"] * unit["sample_ns"]) * 1e-9 + finalize_s
     overhead = modeled_s / baseline

@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.scheme import Scheme
-from repro.metrics.counters import SwitchRecord, TrapRecord
 from repro.windows.backing_store import Frame
 from repro.windows.errors import WindowGeometryError, WindowIntegrityError
 from repro.windows.occupancy import FRAME, FREE, RESERVED
@@ -46,14 +45,18 @@ class NSScheme(Scheme):
         self.reserved = 0
         self.map.set_reserved(self.reserved)
         self.wf.set_wim_only(self.reserved)
-        #: trap costs for 1..transfer_depth windows, cached off the
-        #: (frozen) cost model at construction (index 0 unused)
-        self._overflow_costs = [0] + [
-            self.cost.overflow_cost_multi(k)
+        #: ``[cycles, traps]`` cells for traps moving 1..transfer_depth
+        #: windows, costed off the (frozen) cost model at construction
+        #: (index 0 unused)
+        self._overflow_costs = [None] + [
+            [self.cost.overflow_cost_multi(k), 0]
             for k in range(1, transfer_depth + 1)]
-        self._underflow_costs = [0] + [
-            self.cost.underflow_conventional_multi(k)
+        self._underflow_costs = [None] + [
+            [self.cost.underflow_conventional_multi(k), 0]
             for k in range(1, transfer_depth + 1)]
+
+    def _trap_cost_cells(self):
+        return self._overflow_costs[1:] + self._underflow_costs[1:]
 
     # -- traps (basic algorithm, §2) ----------------------------------------
 
@@ -79,16 +82,13 @@ class NSScheme(Scheme):
         wim = wf._wim
         wim[:] = wf._all_valid
         wim[new_reserved] = 1
-        cycles = self._overflow_costs[spills]
+        cell = self._overflow_costs[spills]
+        cell[1] += 1
+        cycles = cell[0]
         counters = self.counters
         counters.overflow_traps += 1
-        counters.windows_spilled += 1
+        counters.windows_spilled += spills
         counters.trap_cycles += cycles
-        if counters.keep_trace:
-            counters.trap_trace.append(
-                TrapRecord("overflow", tw.tid, True, False, cycles))
-        if self._tel_trap is not None:
-            self._tel_trap.append(cycles)
         if self._tracing:
             self.events.emit("overflow", tid=tw.tid, spilled=spills,
                              cycles=cycles)
@@ -156,16 +156,13 @@ class NSScheme(Scheme):
         wim = wf._wim
         wim[:] = wf._all_valid
         wim[new_reserved] = 1
-        cycles = self._underflow_costs[restores]
+        cell = self._underflow_costs[restores]
+        cell[1] += 1
+        cycles = cell[0]
         counters = self.counters
         counters.underflow_traps += 1
-        counters.windows_restored += 1
+        counters.windows_restored += restores
         counters.trap_cycles += cycles
-        if counters.keep_trace:
-            counters.trap_trace.append(
-                TrapRecord("underflow", tw.tid, False, True, cycles))
-        if self._tel_trap is not None:
-            self._tel_trap.append(cycles)
         if self._tracing:
             self.events.emit("underflow", tid=tw.tid, restored=restores,
                              cycles=cycles, inplace=False)
@@ -277,11 +274,11 @@ class NSScheme(Scheme):
         wim[self.reserved] = 1
         key = (saves, restores)
         cache = self._switch_cost_cache
-        cycles = cache.get(key)
-        if cycles is None:
-            cycles = self.cost.ns_switch_cost(saves, restores)
-            cache[key] = cycles
-        # _record_switch, inlined (one call per quantum)
+        cell = cache.get(key)
+        if cell is None:
+            cell = cache[key] = [self.cost.ns_switch_cost(saves, restores), 0]
+        cell[1] += 1
+        cycles = cell[0]
         counters = self.counters
         counters.context_switches += 1
         counters.switch_transfer_hist[(saves, restores)] += 1
@@ -289,12 +286,6 @@ class NSScheme(Scheme):
         counters.windows_restored += restores
         counters.switch_cycles += cycles
         in_tw.stat_switches += 1
-        if counters.keep_trace:
-            counters.switch_trace.append(SwitchRecord(
-                out_tw.tid if out_tw is not None else None,
-                in_tw.tid, saves, restores, cycles))
-        if self._tel_switch is not None:
-            self._tel_switch.append(cycles)
         if self._tracing:
             self.events.emit(
                 "switch", tid=in_tw.tid,

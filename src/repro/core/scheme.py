@@ -15,14 +15,20 @@ Geometry facts the shared helpers rely on (see DESIGN.md):
   its thread has no frames, and it is freed at that moment);
 * overflow spills therefore always remove a stack-bottom window, never
   a stack-top one — exactly the property §3.1 demands.
+
+Recording: a switch or trap site bumps the :class:`Counters
+<repro.metrics.counters.Counters>` fields and the count of its
+memoised ``[cycles, n]`` cost cell, and emits its event-bus event only
+while ``_tracing`` is set.  :meth:`Scheme.cycle_counts` turns the cells
+into the switch and trap cost distributions that the telemetry
+histograms and the RunReport switch statistics read at run end.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Optional
+from typing import Dict, Iterable, Optional, Tuple
 
-from repro.metrics.counters import SwitchRecord
 from repro.windows.backing_store import Frame
 from repro.windows.errors import WindowGeometryError, WindowIntegrityError
 from repro.windows.occupancy import FRAME, FREE
@@ -50,45 +56,32 @@ class Scheme(ABC):
         self.events.watch_activity(self._set_tracing)
         cpu.bind_scheme(self)
         self.threads: Dict[int, ThreadWindows] = {}
-        #: memo of switch-cost calls — the cost model is a frozen
-        #: dataclass, so (args) -> cycles never changes per instance
-        self._switch_cost_cache: Dict[tuple, int] = {}
-        #: telemetry buffers (see Kernel.attach_telemetry); per-site
-        #: attributes that stay None unless metrics are armed, so the
-        #: uninstrumented paths pay one ``is None`` check per event.
-        #: When armed they are plain lists — one C-speed append per
-        #: event; RunTelemetry bulk-folds them into its histograms
-        self._tel_switch = None
-        self._tel_trap = None
+        #: memo of switch-cost calls, key -> ``[cycles, switches]``: the
+        #: cost model is a frozen dataclass, so a key's cycles never
+        #: change per instance, and the cell counts the switches that
+        #: paid them (see :meth:`cycle_counts`)
+        self._switch_cost_cache: Dict[tuple, list] = {}
 
     def _set_tracing(self, active: bool) -> None:
         self._tracing = active
 
-    # -- trace events -------------------------------------------------------
+    # -- cost tallies ---------------------------------------------------------
 
-    def _record_switch(self, out_tw: Optional[ThreadWindows],
-                       in_tw: ThreadWindows, saves: int, restores: int,
-                       cycles: int) -> None:
-        """Count one context switch and publish its trace event.
+    @abstractmethod
+    def _trap_cost_cells(self) -> Iterable[list]:
+        """The ``[cycles, traps]`` cell of every trap cost the scheme
+        charges; each trap site bumps its cell's count."""
 
-        Equivalent to ``counters.record_switch`` with the per-thread
-        dict update batched onto ``in_tw`` (folded at run end)."""
-        out_tid = out_tw.tid if out_tw is not None else None
-        counters = self.counters
-        counters.context_switches += 1
-        counters.switch_transfer_hist[(saves, restores)] += 1
-        counters.windows_spilled += saves
-        counters.windows_restored += restores
-        counters.switch_cycles += cycles
-        in_tw.stat_switches += 1
-        if counters.keep_trace:
-            counters.switch_trace.append(
-                SwitchRecord(out_tid, in_tw.tid, saves, restores, cycles))
-        if self._tel_switch is not None:
-            self._tel_switch.append(cycles)
-        if self._tracing:
-            self.events.emit("switch", tid=in_tw.tid, out_tid=out_tid,
-                             saves=saves, restores=restores, cycles=cycles)
+    def cycle_counts(self) -> Tuple[Dict[int, int], Dict[int, int]]:
+        """``({cycles: switches}, {cycles: traps})`` so far.
+
+        A switch's cost is a pure function of its memo key and a trap's
+        of its kind and the windows it moves, and every cell counts the
+        events that paid its cost, so these are the exact cost
+        distributions — with no per-event record behind them.
+        """
+        return (_tally(self._switch_cost_cache.values()),
+                _tally(self._trap_cost_cells()))
 
     # -- registration ------------------------------------------------------
 
@@ -326,3 +319,13 @@ class Scheme(ABC):
     def _wim_only_thread(self, tw: ThreadWindows) -> None:
         """WIM: only the thread's resident windows are valid (§3)."""
         self.wf.set_wim_except(tw.resident_windows(self.wf.n_windows))
+
+
+def _tally(cells: Iterable[list]) -> Dict[int, int]:
+    """Merge ``[cycles, n]`` cells into ``{cycles: n}`` (keys that
+    share a cost add up; unpaid costs are left out)."""
+    counts: Dict[int, int] = {}
+    for cycles, n in cells:
+        if n:
+            counts[cycles] = counts.get(cycles, 0) + n
+    return counts

@@ -21,7 +21,6 @@ from typing import Optional
 
 from repro.core.allocation import AllocationPolicy, SimpleAllocation
 from repro.core.scheme import Scheme
-from repro.metrics.counters import TrapRecord
 from repro.windows.errors import WindowGeometryError, WindowIntegrityError
 from repro.windows.occupancy import FRAME, FREE, RESERVED
 from repro.windows.thread_windows import ThreadWindows
@@ -52,11 +51,15 @@ class SharingScheme(Scheme):
         self._simple_alloc = type(self.allocation) is SimpleAllocation
         self._dispatch_seq = 0
         self.last_dispatched = {}
-        #: trap costs cached off the (frozen) cost model at construction
-        #: instead of being recomputed on every trap
-        self._overflow_spill_cost = self.cost.overflow_cost(True)
-        self._overflow_free_cost = self.cost.overflow_cost(False)
-        self._underflow_cost = self.cost.underflow_inplace_cost()
+        #: ``[cycles, traps]`` cells of the three trap costs, costed off
+        #: the (frozen) cost model at construction
+        self._overflow_spill_cost = [self.cost.overflow_cost(True), 0]
+        self._overflow_free_cost = [self.cost.overflow_cost(False), 0]
+        self._underflow_cost = [self.cost.underflow_inplace_cost(), 0]
+
+    def _trap_cost_cells(self):
+        return (self._overflow_spill_cost, self._overflow_free_cost,
+                self._underflow_cost)
 
     # -- hooks the concrete schemes provide ---------------------------------
 
@@ -100,18 +103,15 @@ class SharingScheme(Scheme):
         wmap._kind[boundary] = FREE
         wmap._tid[boundary] = None
         spilled = self._position_boundary(tw, top=boundary)
-        cycles = (self._overflow_spill_cost if spilled
-                  else self._overflow_free_cost)
+        cell = (self._overflow_spill_cost if spilled
+                else self._overflow_free_cost)
+        cell[1] += 1
+        cycles = cell[0]
         counters = self.counters
         counters.overflow_traps += 1
         if spilled:
             counters.windows_spilled += 1
         counters.trap_cycles += cycles
-        if counters.keep_trace:
-            counters.trap_trace.append(
-                TrapRecord("overflow", tw.tid, spilled > 0, False, cycles))
-        if self._tel_trap is not None:
-            self._tel_trap.append(cycles)
         if self._tracing:
             self.events.emit("overflow", tid=tw.tid, spilled=spilled,
                              cycles=cycles)
@@ -240,16 +240,13 @@ class SharingScheme(Scheme):
         tw.depth -= 1
         # CWP, bottom, resident, WIM and occupancy all stay put: the
         # thread virtually moved one window down without physical motion.
-        cycles = self._underflow_cost
+        cell = self._underflow_cost
+        cell[1] += 1
+        cycles = cell[0]
         counters = self.counters
         counters.underflow_traps += 1
         counters.windows_restored += 1
         counters.trap_cycles += cycles
-        if counters.keep_trace:
-            counters.trap_trace.append(
-                TrapRecord("underflow", tw.tid, False, True, cycles))
-        if self._tel_trap is not None:
-            self._tel_trap.append(cycles)
         if self._tracing:
             self.events.emit("underflow", tid=tw.tid, restored=1,
                              cycles=cycles, inplace=True)

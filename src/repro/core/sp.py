@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.sharing import SharingScheme
-from repro.metrics.counters import SwitchRecord
 from repro.windows.errors import WindowGeometryError, WindowIntegrityError
 from repro.windows.occupancy import FRAME, FREE, RESERVED
 from repro.windows.thread_windows import ThreadWindows
@@ -218,12 +217,13 @@ class SPScheme(SharingScheme):
         self.last_dispatched[in_tw.tid] = seq
         key = (saves, restores, allocated, flushed)
         cache = self._switch_cost_cache
-        cycles = cache.get(key)
-        if cycles is None:
+        cell = cache.get(key)
+        if cell is None:
             cycles = (self.cost.sp_switch_cost(saves, restores, allocated)
                       + self.cost.flush_cost(flushed))
-            cache[key] = cycles
-        # _record_switch, inlined (one call per quantum)
+            cell = cache[key] = [cycles, 0]
+        cell[1] += 1
+        cycles = cell[0]
         saves += flushed
         counters = self.counters
         counters.context_switches += 1
@@ -232,12 +232,6 @@ class SPScheme(SharingScheme):
         counters.windows_restored += restores
         counters.switch_cycles += cycles
         in_tw.stat_switches += 1
-        if counters.keep_trace:
-            counters.switch_trace.append(SwitchRecord(
-                out_tw.tid if out_tw is not None else None,
-                in_tw.tid, saves, restores, cycles))
-        if self._tel_switch is not None:
-            self._tel_switch.append(cycles)
         if self._tracing:
             self.events.emit(
                 "switch", tid=in_tw.tid,

@@ -188,7 +188,7 @@ class FaultInjector:
             elif kind == "store_delay":
                 delay = (spec.arg if spec.arg is not None
                          else DEFAULT_STORE_DELAY)
-                counters.record_compute(delay)
+                counters.compute_cycles += delay
                 self._fire(spec, "store", tid=tw.tid, op=op,
                            cycles=delay)
 

@@ -165,8 +165,8 @@ class Machine:
 
     def attach_telemetry(self, telemetry) -> None:
         """Arm aggregate metrics, mirroring ``Kernel.attach_telemetry``:
-        the scheme gets its switch/trap/occupancy histograms and the
-        fetch loop gets per-opcode cycle attribution."""
+        the scheme's switch/trap/occupancy histograms are registered and
+        the fetch loop gets per-opcode cycle attribution."""
         from repro.metrics.telemetry import arm_scheme_histograms
 
         self.telemetry = telemetry

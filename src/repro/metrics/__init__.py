@@ -2,7 +2,7 @@
 analysis, aggregate telemetry, Perfetto export, run reports and
 plain-text reporting."""
 
-from repro.metrics.counters import Counters, SwitchRecord, TrapRecord
+from repro.metrics.counters import Counters
 from repro.metrics.events import EventBus, TraceEvent, TraceRecorder
 from repro.metrics.perfetto import PerfettoExporter
 from repro.metrics.profiler import CycleProfiler
@@ -23,8 +23,6 @@ from repro.metrics.telemetry import (
 
 __all__ = [
     "Counters",
-    "SwitchRecord",
-    "TrapRecord",
     "EventBus",
     "TraceEvent",
     "TraceRecorder",

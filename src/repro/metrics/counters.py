@@ -7,35 +7,21 @@ Everything the paper's evaluation reports is derived from these counts:
 * overflow/underflow trap counts (Figure 13),
 * per-context-switch window-transfer histograms (Table 2, Figure 12),
 * cycle totals split by category (Figures 11, 12, 14, 15).
+
+There are no mutator methods: the CPU, the schemes and the kernel loop
+bump the fields inline at each site.  A switch or trap site writes
+these fields and, only while something subscribes to the event bus,
+emits its event — nothing else.  The per-cost distributions the
+telemetry histograms show come from the schemes' memoised cost cells
+(:meth:`repro.core.scheme.Scheme.cycle_counts`), not from per-event
+records.
 """
 
 from __future__ import annotations
 
 from collections import Counter as _Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
-
-
-@dataclass
-class SwitchRecord:
-    """One context switch: which threads, how many windows moved, cycle cost."""
-
-    out_tid: Optional[int]
-    in_tid: int
-    saves: int
-    restores: int
-    cycles: int
-
-
-@dataclass
-class TrapRecord:
-    """One window trap: kind, whether a window was transferred, cycle cost."""
-
-    kind: str  # "overflow" | "underflow"
-    tid: int
-    spilled: bool
-    restored: bool
-    cycles: int
+from typing import Dict, Tuple
 
 
 @dataclass
@@ -59,10 +45,6 @@ class Counters:
     per_thread_switches: Dict[int, int] = field(default_factory=dict)
     per_thread_saves: Dict[int, int] = field(default_factory=dict)
     per_thread_restores: Dict[int, int] = field(default_factory=dict)
-
-    keep_trace: bool = False
-    switch_trace: List[SwitchRecord] = field(default_factory=list)
-    trap_trace: List[TrapRecord] = field(default_factory=list)
 
     @property
     def total_cycles(self) -> int:
@@ -93,45 +75,6 @@ class Counters:
             return 0.0
         return self.switch_cycles / self.context_switches
 
-    def record_save(self, tid: int) -> None:
-        self.saves += 1
-        self.per_thread_saves[tid] = self.per_thread_saves.get(tid, 0) + 1
-
-    def record_restore(self, tid: int) -> None:
-        self.restores += 1
-        self.per_thread_restores[tid] = (
-            self.per_thread_restores.get(tid, 0) + 1)
-
-    def record_trap(self, kind: str, tid: int, cycles: int,
-                    spilled: bool = False, restored: bool = False) -> None:
-        if kind == "overflow":
-            self.overflow_traps += 1
-        elif kind == "underflow":
-            self.underflow_traps += 1
-        else:
-            raise ValueError("unknown trap kind: %r" % kind)
-        if spilled:
-            self.windows_spilled += 1
-        if restored:
-            self.windows_restored += 1
-        self.trap_cycles += cycles
-        if self.keep_trace:
-            self.trap_trace.append(
-                TrapRecord(kind, tid, spilled, restored, cycles))
-
-    def record_switch(self, out_tid: Optional[int], in_tid: int,
-                      saves: int, restores: int, cycles: int) -> None:
-        self.context_switches += 1
-        self.switch_transfer_hist[(saves, restores)] += 1
-        self.windows_spilled += saves
-        self.windows_restored += restores
-        self.switch_cycles += cycles
-        self.per_thread_switches[in_tid] = (
-            self.per_thread_switches.get(in_tid, 0) + 1)
-        if self.keep_trace:
-            self.switch_trace.append(
-                SwitchRecord(out_tid, in_tid, saves, restores, cycles))
-
     def fold_thread_stats(self, thread_windows) -> None:
         """Fold the batched per-thread tallies each
         :class:`~repro.windows.thread_windows.ThreadWindows` accumulated
@@ -159,12 +102,6 @@ class Counters:
                     self.per_thread_switches.get(tw.tid, 0)
                     + tw.stat_switches)
                 tw.stat_switches = 0
-
-    def record_compute(self, cycles: int) -> None:
-        self.compute_cycles += cycles
-
-    def record_call_cycles(self, cycles: int) -> None:
-        self.call_cycles += cycles
 
     def transfer_histogram(self) -> Dict[Tuple[int, int], int]:
         """Histogram of (windows saved, windows restored) per switch."""

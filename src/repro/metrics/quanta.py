@@ -39,16 +39,19 @@ class QuantumLog:
     statistics a :class:`~repro.metrics.events.TraceRecorder` would
     derive from the full event stream of the same run.
 
-    Per quantum it keeps the switch cost (an exact histogram) and the
-    dispatch-to-exit interval (per-thread cycles); at run end it derives
-    the per-kind event tallies from the counters, the threads, the
-    closed streams and the fault injector.  Attach it before the run
-    (and before spawning) with ``kernel.observe(QuantumLog())``: the
-    tallies cover the whole run.
+    Per quantum it keeps the dispatch-to-exit interval (per-thread
+    cycles); at run end it reads the switch-cost histogram from the
+    scheme's cost counts (:meth:`~repro.core.scheme.Scheme.cycle_counts`)
+    and derives the per-kind event tallies from the counters, the
+    threads, the closed streams and the fault injector.  Attach it
+    before the run (and before spawning) with
+    ``kernel.observe(QuantumLog())``: the histogram and the tallies
+    cover the whole run.
     """
 
     def __init__(self):
-        #: switch cost (cycles) -> number of context switches
+        #: switch cost (cycles) -> number of context switches; filled
+        #: at run end
         self.switch_cost_hist: Dict[int, int] = {}
         #: tid -> cycles between its dispatches and quantum exits
         self.cycles: Dict[int, int] = {}
@@ -64,8 +67,6 @@ class QuantumLog:
 
     def on_quantum_start(self, tid: int, depth: int, cycle: int,
                          switch_cost: int) -> None:
-        hist = self.switch_cost_hist
-        hist[switch_cost] = hist.get(switch_cost, 0) + 1
         self.dispatches += 1
         if self._tid is not None:
             self._close(cycle)
@@ -85,6 +86,7 @@ class QuantumLog:
 
     def on_run_end(self, kernel, cycle: int) -> None:
         self._close(cycle)
+        self.switch_cost_hist = kernel.scheme.cycle_counts()[0]
         counters = kernel.counters
         threads = kernel.threads
         # A completed run leaves no thread blocked, so every block was

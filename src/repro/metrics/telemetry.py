@@ -12,10 +12,13 @@ PRs.
 
 Design rules, in priority order:
 
-* **Zero cost when off.**  Instrumented sites follow PR 4's
-  ``watch_activity`` pattern: a single attribute that is ``None`` until
-  telemetry is attached, so the hot path pays one ``is None`` branch
-  and performs no dict lookup, no allocation, no call.
+* **No per-event cost.**  The switch and trap histograms are derived,
+  not recorded: every switch and trap site already counts itself in
+  its scheme's memoised ``[cycles, n]`` cost cell, and the fold reads
+  those counts once (:meth:`~repro.core.scheme.Scheme.cycle_counts`).
+  The only armed per-quantum work is the profiler's countdown, which
+  stays ``None`` — one ``is None`` branch — until telemetry is
+  attached.
 * **Deterministic when on.**  Histograms use *exact integer bucket
   bounds* (cycle counts, window counts); the cycle-domain profiler
   samples on the simulated clock, never wall-clock.  Two runs with the
@@ -156,30 +159,29 @@ class Histogram:
         if self.max is None or value > self.max:
             self.max = value
 
-    def observe_bulk(self, values) -> None:
-        """Fold a whole observation buffer at once.
-
-        Hot paths append raw values to plain lists (a C-speed
-        ``list.append`` instead of a Python-level ``observe`` per
-        event); this folds such a buffer in O(distinct values)
-        Python-level work.  Equivalent to ``observe`` per element —
-        byte-identical bucket counts, count, sum, min and max.
-        """
-        if not values:
-            return
-        from collections import Counter as _TallyCounter
-
+    def observe_counts(self, counts: Dict[Any, int]) -> None:
+        """Fold a ``{value: n}`` tally at once: equivalent to ``n`` calls
+        of ``observe(value)`` per entry — byte-identical bucket counts,
+        count, sum, min and max — in O(distinct values) work."""
         bounds = self.bounds
         buckets = self.bucket_counts
-        for value, n in _TallyCounter(values).items():
+        for value, n in counts.items():
+            if not n:
+                continue
             buckets[bisect_left(bounds, value)] += n
+            self.count += n
             self.sum += value * n
-        self.count += len(values)
-        lo, hi = min(values), max(values)
-        if self.min is None or lo < self.min:
-            self.min = lo
-        if self.max is None or hi > self.max:
-            self.max = hi
+            if self.min is None or value < self.min:
+                self.min = value
+            if self.max is None or value > self.max:
+                self.max = value
+
+    def observe_bulk(self, values) -> None:
+        """Fold a whole observation buffer at once (``observe`` per
+        element, via :meth:`observe_counts`)."""
+        from collections import Counter as _TallyCounter
+
+        self.observe_counts(_TallyCounter(values))
 
     @property
     def mean(self) -> float:
@@ -480,17 +482,16 @@ def to_prometheus(snapshot: Dict[str, Any],
 
 def arm_scheme_histograms(telemetry: "RunTelemetry", scheme,
                           n_windows: int) -> None:
-    """Hand a window-management scheme its telemetry buffers.
+    """Register a window-management scheme's switch, trap and
+    occupancy histograms.
 
     Shared by ``Kernel.attach_telemetry`` and ``Machine.attach_telemetry``
-    — the scheme-side hooks are identical in both runtimes.
-
-    The scheme's hot sites get plain lists (``_tel_switch``,
-    ``_tel_trap``): recording one event is a single C-speed
-    ``list.append``, not a Python-level ``Histogram.observe`` (which
-    would cost ~1µs x tens of thousands of switches per run).  The
-    real histograms are registered here and bulk-folded from the
-    buffers by :meth:`RunTelemetry.finalize` / ``snapshot``.
+    — the scheme side is identical in both runtimes.  Nothing is set on
+    the scheme and its hot sites do no per-event work for telemetry:
+    every switch and trap already counts itself in its memoised cost
+    cell, and :meth:`RunTelemetry._fold` reads those counts
+    (:meth:`~repro.core.scheme.Scheme.cycle_counts`) into the
+    histograms.  Events before arming are not part of the histograms.
     """
     registry = telemetry.registry
     labels = {"scheme": scheme.kind}
@@ -504,9 +505,14 @@ def arm_scheme_histograms(telemetry: "RunTelemetry", scheme,
         "sim_window_occupancy", occupancy_buckets(n_windows),
         help="occupied windows sampled on the profiler's cycle grid",
         labels=labels)
-    scheme._tel_switch = []
-    scheme._tel_trap = []
-    telemetry._armed.append((scheme, switch_hist, trap_hist, occ_hist))
+    switches, traps = scheme.cycle_counts()
+    telemetry._armed.append(
+        [scheme, switch_hist, trap_hist, occ_hist, switches, traps])
+
+
+def _count_delta(now: Dict[int, int], then: Dict[int, int]
+                 ) -> Dict[int, int]:
+    return {value: n - then.get(value, 0) for value, n in now.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -525,10 +531,10 @@ class RunTelemetry:
         telemetry.finalize(result)
         snapshot = telemetry.snapshot({"scheme": "SP", "n_windows": 8})
 
-    ``attach`` hands the scheme its switch/trap/occupancy histograms and
-    arms the kernel's sampling profiler; everything stays ``None`` /
-    detached until then, which is what keeps the uninstrumented hot
-    path free.
+    ``attach`` registers the scheme's switch/trap/occupancy histograms
+    and arms the kernel's sampling profiler.  It sets nothing on the
+    scheme: the switch and trap histograms are filled from the scheme's
+    cost counts when the run is folded.
     """
 
     def __init__(self, every: Optional[int] = None, profile: bool = True,
@@ -537,9 +543,9 @@ class RunTelemetry:
 
         self.registry = registry if registry is not None else MetricsRegistry()
         self.profiler = (CycleProfiler(every) if profile else None)
-        #: (scheme, switch_hist, trap_hist, occ_hist) armed via
-        #: :func:`arm_scheme_histograms`; their buffers are drained by
-        #: :meth:`_fold`
+        #: [scheme, switch_hist, trap_hist, occ_hist, switch counts,
+        #: trap counts] armed via :func:`arm_scheme_histograms`; the
+        #: counts are the scheme's as of the last :meth:`_fold`
         self._armed = []
         self._occ_folded = 0
 
@@ -548,25 +554,25 @@ class RunTelemetry:
         return self
 
     def _fold(self) -> None:
-        """Drain the hot-path buffers into their histograms.
+        """Bring the histograms up to date with the run.
 
-        Idempotent: buffers are swapped out as they are folded and the
-        profiler's occupancy samples are consumed past a high-water
-        mark, so calling ``finalize`` and then ``snapshot`` (or
-        ``snapshot`` twice) never double-counts.
+        Idempotent: each fold adds only what the scheme's cost counts
+        gained since the previous one, and the profiler's occupancy
+        samples are consumed past a high-water mark, so calling
+        ``finalize`` and then ``snapshot`` (or ``snapshot`` twice) never
+        double-counts.
         """
         profiler = self.profiler
         occ_samples = ()
         if profiler is not None:
             occ_samples = profiler.occupancy[self._occ_folded:]
             self._occ_folded = len(profiler.occupancy)
-        for scheme, switch_hist, trap_hist, occ_hist in self._armed:
-            if scheme._tel_switch:
-                switch_hist.observe_bulk(scheme._tel_switch)
-                scheme._tel_switch = []
-            if scheme._tel_trap:
-                trap_hist.observe_bulk(scheme._tel_trap)
-                scheme._tel_trap = []
+        for armed in self._armed:
+            scheme, switch_hist, trap_hist, occ_hist, switches, traps = armed
+            now_switches, now_traps = scheme.cycle_counts()
+            switch_hist.observe_counts(_count_delta(now_switches, switches))
+            trap_hist.observe_counts(_count_delta(now_traps, traps))
+            armed[4:] = [now_switches, now_traps]
             if occ_samples:
                 occ_hist.observe_bulk([occ for __, occ in occ_samples])
 

@@ -230,10 +230,11 @@ class Kernel:
     def attach_telemetry(self, telemetry) -> None:
         """Arm aggregate metrics (:mod:`repro.metrics.telemetry`).
 
-        Hands the scheme its per-scheme switch/trap/occupancy
-        histograms and arms the cycle-domain sampling profiler; until
-        this is called every instrumented site holds ``None`` and the
-        hot paths pay a single ``is None`` branch.
+        Registers the scheme's switch/trap/occupancy histograms (filled
+        from the scheme's cost counts when the run is folded) and arms
+        the cycle-domain sampling profiler; until this is called the
+        profiler hook holds ``None`` and the loop pays a single ``is
+        None`` branch per quantum.
         """
         from repro.metrics.telemetry import arm_scheme_histograms
 

@@ -4,7 +4,7 @@ The run-until-event batched loop must be *bit-identical* to the
 step-granular reference loop (labelled "generator", reachable through
 ``tests.support.trampoline``): same step counts, same counters
 (including the switch/trap cycle sums and transfer histograms), same
-per-thread statistics, same trace record sequences, same thread
+per-thread statistics, same switch and trap sequences, same thread
 results — across every scheme and window-file size.  This suite drives
 both loops over the same workloads and compares full run snapshots:
 
@@ -38,6 +38,7 @@ from repro import (
     Write,
     YieldCPU,
 )
+from tests.support.scheme_spy import SchemeSpy, records_from_events
 from tests.support.trampoline import force_trampoline, make_kernel
 
 SCHEMES = ("NS", "SNP", "SP")
@@ -54,7 +55,7 @@ COUNTER_FIELDS = (
 )
 
 
-def snapshot(kernel, result, error):
+def snapshot(kernel, result, error, spy):
     """Everything observable about a finished (or crashed) run."""
     c = kernel.counters
     snap = {
@@ -62,8 +63,8 @@ def snapshot(kernel, result, error):
         "steps": kernel._steps,
         "counters": {f: getattr(c, f) for f in COUNTER_FIELDS},
         "transfer_hist": dict(c.switch_transfer_hist),
-        "switch_trace": list(c.switch_trace),
-        "trap_trace": list(c.trap_trace),
+        "switch_trace": spy.of_kind("switch"),
+        "trap_trace": spy.of_kind("overflow", "underflow"),
         "per_thread": [
             (t.name, t.state, t.calls, t.returns, t.blocks,
              t.windows.stat_saves, t.windows.stat_restores,
@@ -77,14 +78,15 @@ def snapshot(kernel, result, error):
     return snap
 
 
-def run_core(core, build, scheme, n_windows, keep_trace=True,
-             traced=False, max_steps=None, **kw):
-    """Build a workload on a fresh kernel and run it to the end
-    (``traced``: with a TraceRecorder, whose events join the
-    snapshot)."""
+def run_core(core, build, scheme, n_windows, traced=False,
+             max_steps=None, **kw):
+    """Build a workload on a fresh kernel and run it to the end, with
+    every switch and trap recorded by a :class:`SchemeSpy`
+    (``traced``: with a TraceRecorder too, whose events join the
+    snapshot and must carry the spy's records)."""
     kernel = make_kernel(core=core, n_windows=n_windows, scheme=scheme,
                          **kw)
-    kernel.counters.keep_trace = keep_trace
+    spy = SchemeSpy(kernel.scheme)
     recorder = kernel.enable_tracing() if traced else None
     build(kernel)
     result = error = None
@@ -95,9 +97,10 @@ def run_core(core, build, scheme, n_windows, keep_trace=True,
         # to a stream a peer closed) are legal outcomes — both cores
         # must fail at the same point with the same enriched message.
         error = exc
-    snap = snapshot(kernel, result, error)
+    snap = snapshot(kernel, result, error, spy)
     if recorder is not None:
         snap["events"] = trace_of(recorder)
+        assert records_from_events(recorder) == spy.records
     return snap
 
 

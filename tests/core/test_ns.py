@@ -13,6 +13,7 @@ from tests.helpers import (
     ret_to_depth,
     verify,
 )
+from tests.support.scheme_spy import SchemeSpy
 
 
 class TestBasicTraps:
@@ -71,13 +72,13 @@ class TestContextSwitch:
         t2 = new_thread(scheme, 1)
         dispatch(cpu, scheme, None, t1)
         call_to_depth(cpu, t1, 4)
+        spy = SchemeSpy(scheme)
         dispatch(cpu, scheme, t1, t2)
         assert t1.resident == 0
         assert len(t1.store) == 4
-        record = cpu.counters.switch_trace  # not kept by default
         hist = cpu.counters.transfer_histogram()
         assert hist.get((4, 0)) == 1  # t2 is fresh: 4 saves, no restore
-        del record
+        assert [r[:5] for r in spy.records] == [("switch", 1, 0, 4, 0)]
         verify(cpu, scheme)
 
     def test_resume_restores_only_the_top_window(self):

@@ -14,6 +14,7 @@ from tests.helpers import (
     ret_to_depth,
     verify,
 )
+from tests.support.scheme_spy import SchemeSpy
 
 SHARING = ["SNP", "SP"]
 
@@ -41,7 +42,7 @@ class TestInPlaceUnderflow:
         """The whole point of the algorithm: no spillage at underflow,
         so other threads' windows are never disturbed (§3.1)."""
         cpu, scheme = make_machine(6, scheme_name)
-        cpu.counters.keep_trace = True
+        spy = SchemeSpy(scheme)
         t1 = new_thread(scheme, 0)
         t2 = new_thread(scheme, 1)
         dispatch(cpu, scheme, None, t1)
@@ -49,9 +50,9 @@ class TestInPlaceUnderflow:
         dispatch(cpu, scheme, t1, t2)
         call_to_depth(cpu, t2, 10)
         ret_to_depth(cpu, t2, 1)
+        assert spy.of_kind("underflow"), "scenario never underflowed"
         spilled_by_underflow = [
-            rec for rec in cpu.counters.trap_trace
-            if rec.kind == "underflow" and rec.spilled]
+            rec for rec in spy.of_kind("underflow") if rec[3]]
         assert spilled_by_underflow == []
         # t1's store gained nothing from t2's underflows (only from
         # t2's growth overflows, which spill from the bottom).

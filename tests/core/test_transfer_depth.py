@@ -49,6 +49,24 @@ class TestTransferDepthTraps:
         assert tw.resident == depth
         verify(cpu, scheme)
 
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_window_counts_follow_depth(self, depth):
+        """``windows_spilled`` / ``windows_restored`` count the windows
+        a trap moves, not the traps: one overflow and one underflow at
+        depth ``d`` move ``d`` windows each way."""
+        cpu, scheme = make_machine(8, "NS", transfer_depth=depth)
+        tw = new_thread(scheme, 0)
+        dispatch(cpu, scheme, None, tw)
+        call_to_depth(cpu, tw, 8)  # one overflow
+        assert cpu.counters.overflow_traps == 1
+        assert cpu.counters.windows_spilled == len(tw.store) == depth
+        ret_to_depth(cpu, tw, tw.depth - tw.resident + 1)
+        ret(cpu, tw)  # one underflow
+        assert cpu.counters.underflow_traps == 1
+        assert cpu.counters.windows_restored == depth
+        assert len(tw.store) == 0
+        verify(cpu, scheme)
+
     def test_depth_reduces_trap_count_for_deep_unwinds(self):
         traps = {}
         for depth in (1, 4):

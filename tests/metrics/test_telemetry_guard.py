@@ -1,10 +1,10 @@
 """The telemetry zero-overhead and determinism contracts.
 
 Mirrors ``test_tracing_guard.py`` for the aggregate layer: with no
-``RunTelemetry`` attached every instrumented site must hold ``None``
-(one ``is None`` branch, no registry mutation, no emit), and with one
-attached two identical runs must produce byte-identical
-``repro.metrics-snapshot`` documents.
+``RunTelemetry`` attached a run mutates no registry and emits nothing;
+attaching one sets nothing on the scheme (its histograms are derived
+from the scheme's cost counts); and with one attached two identical
+runs must produce byte-identical ``repro.metrics-snapshot`` documents.
 """
 
 import pytest
@@ -35,8 +35,10 @@ class TestDisabledPathIsInert:
         kernel = Kernel(n_windows=8, scheme="SP")
         assert kernel.telemetry is None
         assert kernel._profiler is None
-        assert kernel.scheme._tel_switch is None
-        assert kernel.scheme._tel_trap is None
+        before = dict(vars(kernel.scheme))
+        RunTelemetry().attach(kernel)
+        assert vars(kernel.scheme) == before, (
+            "attaching telemetry set attributes on the scheme")
 
     def test_uninstrumented_run_never_touches_registry_or_bus(
             self, monkeypatch):
@@ -58,7 +60,10 @@ class TestDisabledPathIsInert:
         machine = Machine(assemble("start:\n    halt\n"))
         assert machine.telemetry is None
         assert machine._profiler is None
-        assert machine.scheme._tel_switch is None
+        before = dict(vars(machine.scheme))
+        machine.attach_telemetry(RunTelemetry())
+        assert vars(machine.scheme) == before, (
+            "attaching telemetry set attributes on the scheme")
 
 
 class TestEnabledPathIsTransparent:

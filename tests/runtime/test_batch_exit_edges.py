@@ -35,6 +35,7 @@ from repro import (
 )
 from repro.errors import ReproError
 from repro.isa import Machine, MachineFault, assemble
+from tests.support.scheme_spy import SchemeSpy
 from tests.support.trampoline import make_kernel
 
 CORES = ("generator", "batched")
@@ -55,7 +56,7 @@ def run_core(core, build, max_steps=None, watchdog=None,
              scheme="SP", n_windows=6):
     kernel = make_kernel(core=core, n_windows=n_windows, scheme=scheme,
                          watchdog=watchdog)
-    kernel.counters.keep_trace = True
+    kernel.spy = SchemeSpy(kernel.scheme)
     build(kernel)
     error = None
     try:
@@ -73,8 +74,8 @@ def assert_cores_agree(build, **kw):
             "error": (type(error).__name__, str(error)) if error else None,
             "steps": kernel._steps,
             "counters": counter_state(kernel),
-            "switch_trace": list(kernel.counters.switch_trace),
-            "trap_trace": list(kernel.counters.trap_trace),
+            "switch_trace": kernel.spy.of_kind("switch"),
+            "trap_trace": kernel.spy.of_kind("overflow", "underflow"),
         }
     assert results["generator"] == results["batched"]
     return results["generator"]

@@ -16,6 +16,7 @@ from tests.helpers import (
     ret,
     ret_to_depth,
 )
+from tests.support.scheme_spy import SchemeSpy
 
 SCHEMES = ("NS", "SNP", "SP")
 
@@ -141,17 +142,17 @@ def test_stream_transfer_is_lossless(chunks, capacity, n_windows):
     assert len(set(saves_by_scheme.values())) == 1
 
 
-def _assert_no_spill_on_underflow(counters):
+def _assert_no_spill_on_underflow(spy):
     """§4's point: the in-place restore services every underflow
     without moving any *other* window out — an underflow trap must
     never spill."""
-    underflows = [t for t in counters.trap_trace if t.kind == "underflow"]
-    spilled = [t for t in underflows if t.spilled]
+    underflows = spy.of_kind("underflow")
+    spilled = [t for t in underflows if t[3]]
     assert not spilled, (
         "%d underflow trap(s) spilled a window: %r"
         % (len(spilled), spilled[:3]))
     for trap in underflows:
-        assert trap.restored, "underflow serviced without a restore"
+        assert trap[4], "underflow serviced without a restore"
 
 
 @settings(max_examples=50, deadline=None)
@@ -169,7 +170,7 @@ def test_underflow_inplace_restore_never_spills(ops, n_windows,
     exactly what produces underflows on the way back down."""
     scheme_name = ("SNP", "SP")[scheme_idx]
     cpu, scheme = make_machine(n_windows, scheme_name)
-    cpu.counters.keep_trace = True
+    spy = SchemeSpy(scheme)
     threads = [new_thread(scheme, i) for i in range(3)]
     current = threads[0]
     scheme.context_switch(None, current)
@@ -182,7 +183,7 @@ def test_underflow_inplace_restore_never_spills(ops, n_windows,
             call(cpu, current)
         elif action == 1 and current.depth > 1:
             ret(cpu, current)
-        _assert_no_spill_on_underflow(cpu.counters)
+        _assert_no_spill_on_underflow(spy)
         check_invariants(cpu, scheme, threads)
     for thread in threads:
         if thread is not current and thread.started:
@@ -190,7 +191,7 @@ def test_underflow_inplace_restore_never_spills(ops, n_windows,
             current = thread
         while current.depth > 1:
             ret(cpu, current)
-            _assert_no_spill_on_underflow(cpu.counters)
+            _assert_no_spill_on_underflow(spy)
         check_invariants(cpu, scheme, threads)
 
 
@@ -202,7 +203,7 @@ def test_forced_underflows_restore_in_place(scheme_name):
     none of them spilled."""
     n_windows = 5
     cpu, scheme = make_machine(n_windows, scheme_name)
-    cpu.counters.keep_trace = True
+    spy = SchemeSpy(scheme)
     threads = [new_thread(scheme, i) for i in range(2)]
     current = threads[0]
     scheme.context_switch(None, current)
@@ -221,7 +222,7 @@ def test_forced_underflows_restore_in_place(scheme_name):
         check_invariants(cpu, scheme, threads)
     assert cpu.counters.underflow_traps > 0, (
         "scenario failed to underflow — deepen the call stacks")
-    _assert_no_spill_on_underflow(cpu.counters)
+    _assert_no_spill_on_underflow(spy)
 
 
 @settings(max_examples=40, deadline=None)
