@@ -267,9 +267,3 @@ class SharingScheme(Scheme):
             self._spill_bottom(out_tw)
             count += 1
         return count
-
-    # -- dispatch bookkeeping ----------------------------------------------
-
-    def _note_dispatch(self, tw: ThreadWindows) -> None:
-        self._dispatch_seq += 1
-        self.last_dispatched[tw.tid] = self._dispatch_seq

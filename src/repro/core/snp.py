@@ -74,8 +74,9 @@ class SNPScheme(SharingScheme):
                    self.allocation.choose_top(self, out_tw, in_tw, need=2))
             if top != self.reserved and kinds[top] is not FREE:
                 saves += self._make_free(top)
-            # _install_single_frame + _restore_top_frame, inlined (a
-            # per-quantum path: every windowless re-entry runs it)
+            # Load the innermost stored frame as the thread's only
+            # resident window (a per-quantum path: every windowless
+            # re-entry runs it).
             base = wf._in_base[top]
             mid = base + 8
             restores = 0
@@ -163,7 +164,8 @@ class SNPScheme(SharingScheme):
             ob = wf._out_base[in_tw.cwp]
             regs[ob:ob + 8] = saved
             in_tw.saved_outs = None
-        # _run_thread + _note_dispatch, inlined
+        # Point the hardware at the thread; stamp its dispatch order
+        # (the allocation policies read ``last_dispatched``).
         wf.cwp = in_tw.cwp
         self.cpu.current = in_tw
         in_tw.started = True

@@ -82,8 +82,8 @@ class SPScheme(SharingScheme):
         flushed = (self._flush_out_windows(out_tw, flush_out)
                    if flush_out else 0)
         if out_tw is not None and out_tw.has_windows:
-            # _snug_prw, inlined: move the PRW down to immediately
-            # above the stack-top (§4.1) — bookkeeping only.
+            # Snug the PRW: move it down to immediately above the
+            # stack-top (§4.1) — bookkeeping only.
             snug = wf._above[out_tw.cwp]
             prw = out_tw.prw
             if prw != snug:
@@ -116,9 +116,9 @@ class SPScheme(SharingScheme):
                 top = self.allocation.choose_top(self, out_tw, in_tw, need=2)
             if kinds[top] is not FREE:
                 saves += self._make_free(top)
-            # _install_single_frame + _restore_top_frame, inlined (the
-            # windowless re-entry path dominates the SP switch mix on
-            # small files; every helper call here is per quantum)
+            # Load the innermost stored frame as the thread's only
+            # resident window (the windowless re-entry path dominates
+            # the SP switch mix on small files; it runs per quantum).
             regs = wf._regs
             base = wf._in_base[top]
             mid = base + 8
@@ -208,7 +208,8 @@ class SPScheme(SharingScheme):
             ob = wf._out_base[in_tw.cwp]
             wf._regs[ob:ob + 8] = saved
             in_tw.saved_outs = None
-        # _run_thread + _note_dispatch, inlined
+        # Point the hardware at the thread; stamp its dispatch order
+        # (the allocation policies read ``last_dispatched``).
         wf.cwp = in_tw.cwp
         self.cpu.current = in_tw
         in_tw.started = True
@@ -237,28 +238,6 @@ class SPScheme(SharingScheme):
                 "switch", tid=in_tw.tid,
                 out_tid=out_tw.tid if out_tw is not None else None,
                 saves=saves, restores=restores, cycles=cycles)
-
-    def _snug_prw(self, tw: ThreadWindows) -> None:
-        """Move the PRW down to immediately above the stack-top (§4.1).
-
-        The windows between are vacated frames (already free in the
-        map); the reserved window has no contents to copy, but the outs
-        of the stack-top live in the window immediately above the top,
-        so they are copied into the new PRW position register bank —
-        physically they are already there, because the outs of window
-        ``w`` *are* the ins of ``above(w)``; only bookkeeping moves.
-        """
-        assert tw.cwp is not None and tw.prw is not None
-        snug = self.wf.above(tw.cwp)
-        if tw.prw == snug:
-            return
-        if not self.map.is_free(snug):
-            raise WindowGeometryError(
-                "window %d above thread %d's top is %s, expected vacated"
-                % (snug, tw.tid, self.map.kind(snug)))
-        self.map.set_free(tw.prw)
-        self.map.set_reserved(snug, tw.tid)
-        tw.prw = snug
 
     def retire(self, tw: ThreadWindows) -> None:
         if tw.prw is not None and self._anchor == tw.prw:

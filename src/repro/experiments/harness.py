@@ -107,16 +107,16 @@ def run_point(scheme: str, n_windows: int, concurrency: str,
 
 
 def attach_report_observers(kernel) -> Dict[str, object]:
-    """Attach the observers a RunReport is built from — tracker,
-    timeline and the event-statistics log — to ``kernel``'s quantum
-    boundaries, so a report point needs no event-bus subscriber."""
+    """Bind the views a RunReport is built from — tracker, timeline and
+    the event-statistics log — to ``kernel``'s quantum record, which
+    its execution loop fills inline (:mod:`repro.metrics.quanta`); a
+    report point needs no event-bus subscriber and no live observer."""
     tracker = BehaviorTracker()
     timeline = OccupancyTimeline()
-    observers = {"recorder": kernel.observe(QuantumLog()),
-                 "tracker": tracker, "timeline": timeline}
     kernel.tracker = tracker
     kernel.timeline = timeline
-    return observers
+    return {"recorder": kernel.attach_view(QuantumLog()),
+            "tracker": tracker, "timeline": timeline}
 
 
 def run_report_point(scheme: str, n_windows: int, concurrency: str,
@@ -125,7 +125,7 @@ def run_report_point(scheme: str, n_windows: int, concurrency: str,
                      allocation=None, faults: str = "",
                      fault_seed: int = 1993, audit: bool = False,
                      watchdog: int = 0) -> Dict:
-    """Run one spell-checker point with the report observers attached
+    """Run one spell-checker point with the report views bound
     (:func:`attach_report_observers`) and return its versioned
     RunReport dict (the document ``benchmarks/`` emits for cross-PR
     perf trajectories).

@@ -12,17 +12,23 @@
 * **Parallel slackness** — ready-queue length when a thread is picked
   (sampled by :class:`repro.runtime.scheduler.ReadyQueue`).
 
-The tracker observes the kernel's quantum boundaries (attach with
-``kernel.tracker = BehaviorTracker()``; see :mod:`repro.metrics.quanta`)
-and records one row per scheduling quantum; the analysis functions then
-aggregate over configurable periods.  Observing does not change the
-execution loop: the batched loop reports each quantum's depth range.
+The tracker is a view over the kernel's quantum record (bind with
+``kernel.tracker = BehaviorTracker()``; see :mod:`repro.metrics.quanta`):
+one row per scheduling quantum, whose depth range the execution loop
+reports at the quantum's end.  A quantum runs from its dispatch to the
+next dispatch (or the end of the run).  The measures are computed from
+the columns when asked; :attr:`BehaviorTracker.quanta` builds
+:class:`Quantum` objects on demand.  Fed by hand or from the event bus
+instead (:meth:`BehaviorTracker.on_event`), the tracker fills a record
+of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
+
+from repro.metrics.quanta import QuantumRecord
 
 
 @dataclass
@@ -48,35 +54,18 @@ class Quantum:
 
 
 class BehaviorTracker:
-    """Records per-quantum depth excursions and run lengths."""
+    """Per-quantum depth excursions and run lengths."""
 
     def __init__(self):
-        self.quanta: List[Quantum] = []
-        self._tid: Optional[int] = None
-        self._start = 0
-        self._min = 0
-        self._max = 0
+        self._record = QuantumRecord()
+        self._first = 0
+        #: hand- or bus-fed: the last row is open (its depth range grows)
+        self._feeding = False
 
-    # -- quantum-boundary observer -------------------------------------------
-
-    def on_quantum_start(self, tid: int, depth: int, cycle: int,
-                         switch_cost: int) -> None:
-        self._close(cycle)
-        self._tid = tid
-        self._start = cycle
-        self._min = depth
-        self._max = depth
-
-    def on_quantum_end(self, tid: int, exit_code: int, cycle: int,
-                       min_depth: int, max_depth: int) -> None:
-        if tid == self._tid:
-            if min_depth < self._min:
-                self._min = min_depth
-            if max_depth > self._max:
-                self._max = max_depth
-
-    def on_run_end(self, kernel, cycle: int) -> None:
-        self.finish(cycle)
+    def _bind(self, record: QuantumRecord, kernel) -> None:
+        self._record = record
+        self._first = len(record.tid)
+        self._feeding = False
 
     # -- event-bus adapter -----------------------------------------------------
 
@@ -84,8 +73,7 @@ class BehaviorTracker:
         """Consume bus events instead (``kernel.events.subscribe``):
         quanta open on ``dispatch``, depth excursions come from every
         ``save``/``restore``, and ``run_end`` closes the final quantum.
-        The quanta are the same as the quantum-boundary hook
-        records."""
+        The quanta are the same as the kernel-filled record's."""
         kind = event.kind
         if kind == "dispatch":
             self.on_dispatch(event.tid, event.attrs["depth"], event.cycle)
@@ -94,63 +82,102 @@ class BehaviorTracker:
         elif kind == "run_end":
             self.finish(event.cycle)
 
-    # -- kernel hooks -------------------------------------------------------
+    # -- hand feeding ---------------------------------------------------------
 
     def on_dispatch(self, tid: int, depth: int, cycles: int) -> None:
-        self.on_quantum_start(tid, depth, cycles, 0)
+        record = self._record
+        record.stop = None
+        record.tid.append(tid)
+        record.start.append(cycles)
+        record.depth.append(depth)
+        record.low.append(depth)
+        record.high.append(depth)
+        self._feeding = True
 
     def on_depth(self, depth: int) -> None:
-        if depth < self._min:
-            self._min = depth
-        elif depth > self._max:
-            self._max = depth
+        if self._feeding:
+            record = self._record
+            if depth < record.low[-1]:
+                record.low[-1] = depth
+            elif depth > record.high[-1]:
+                record.high[-1] = depth
 
     def finish(self, cycles: int) -> None:
-        self._close(cycles)
+        if self._feeding:
+            self._record.stop = cycles
+            self._feeding = False
 
-    def _close(self, cycles: int) -> None:
-        if self._tid is not None:
-            self.quanta.append(Quantum(
-                self._tid, self._start, cycles, self._min, self._max))
-            self._tid = None
+    # -- the columns ----------------------------------------------------------
+
+    def _columns(self):
+        """``(tids, starts, ends, lows, highs)`` of the closed quanta:
+        every quantum but a still-running last one."""
+        record = self._record
+        first = self._first
+        last = len(record.tid)
+        ends = record.start[first + 1:last]
+        if record.stop is None:
+            last -= 1
+        else:
+            ends.append(record.stop)
+        if last <= first:
+            return (), (), (), (), ()
+        return (record.tid[first:last], record.start[first:last], ends,
+                record.low[first:last], record.high[first:last])
+
+    @property
+    def n_quanta(self) -> int:
+        record = self._record
+        n = len(record.tid) - self._first
+        if record.stop is None:
+            n -= 1
+        return max(n, 0)
+
+    @property
+    def quanta(self) -> List[Quantum]:
+        """The closed quanta as :class:`Quantum` objects (built on each
+        access; the measures below read the columns directly)."""
+        return [Quantum(*row) for row in zip(*self._columns())]
 
     # -- §5 measures ------------------------------------------------------------
 
     def window_activity_per_thread(self) -> Dict[int, float]:
         """Mean windows used per quantum, per thread."""
+        tids, __, __, lows, highs = self._columns()
         sums: Dict[int, int] = {}
         counts: Dict[int, int] = {}
-        for q in self.quanta:
-            sums[q.tid] = sums.get(q.tid, 0) + q.windows_used
-            counts[q.tid] = counts.get(q.tid, 0) + 1
+        for tid, low, high in zip(tids, lows, highs):
+            sums[tid] = sums.get(tid, 0) + high - low + 1
+            counts[tid] = counts.get(tid, 0) + 1
         return {tid: sums[tid] / counts[tid] for tid in sums}
 
     def mean_window_activity(self) -> float:
-        if not self.quanta:
+        __, __, __, lows, highs = self._columns()
+        if not lows:
             return 0.0
-        return sum(q.windows_used for q in self.quanta) / len(self.quanta)
+        return (sum(highs) - sum(lows) + len(lows)) / len(lows)
 
     def concurrency(self, period: int = 64) -> List[int]:
         """Distinct threads scheduled in each window of ``period``
         consecutive quanta."""
-        out = []
-        for i in range(0, len(self.quanta), period):
-            chunk = self.quanta[i:i + period]
-            out.append(len({q.tid for q in chunk}))
-        return out
+        tids = self._columns()[0]
+        return [len(set(tids[i:i + period]))
+                for i in range(0, len(tids), period)]
 
     def total_window_activity(self, period: int = 64) -> List[int]:
         """Windows used per period by all threads together: the union
         of (thread, depth-slot) pairs touched (a repeatedly used window
         counts once) — the measure the sharing schemes' saturation
         point is proportional to (§6.3)."""
+        tids, __, __, lows, highs = self._columns()
         out = []
-        for i in range(0, len(self.quanta), period):
-            chunk = self.quanta[i:i + period]
+        for i in range(0, len(tids), period):
             slots = set()
-            for q in chunk:
-                for d in range(q.min_depth, q.max_depth + 1):
-                    slots.add((q.tid, d))
+            for tid, low, high in zip(tids[i:i + period],
+                                      lows[i:i + period],
+                                      highs[i:i + period]):
+                for d in range(low, high + 1):
+                    slots.add((tid, d))
             out.append(len(slots))
         return out
 
@@ -168,7 +195,7 @@ class BehaviorTracker:
 
     def granularity(self) -> float:
         """Mean run length (cycles) between context switches."""
-        if not self.quanta:
+        __, starts, ends, __, __ = self._columns()
+        if not starts:
             return 0.0
-        return (sum(q.run_length for q in self.quanta)
-                / len(self.quanta))
+        return (sum(ends) - sum(starts)) / len(starts)

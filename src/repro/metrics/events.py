@@ -13,12 +13,13 @@ the kernel; the stock ones are:
   JSON for ``chrome://tracing`` / Perfetto;
 * :class:`RingRecorder` (here) — the crash-bundle flight recorder.
 
-The RunReport observers — :class:`repro.metrics.behavior.BehaviorTracker`,
+The RunReport views — :class:`repro.metrics.behavior.BehaviorTracker`,
 :class:`repro.metrics.tracing.OccupancyTimeline` and
 :class:`repro.metrics.quanta.QuantumLog` — are not bus subscribers: they
-observe quantum boundaries (:mod:`repro.metrics.quanta`), which need
-far fewer callbacks.  Neither kind of consumer changes which code path
-runs: the kernel has one execution loop, and emitting is a hook on it.
+read the columnar quantum record the execution loop fills inline
+(:mod:`repro.metrics.quanta`), with no callback per event or quantum.
+Neither kind of consumer changes which code path runs: the kernel has
+one execution loop, and emitting is a hook on it.
 
 The bus is **disabled by default**: publishers guard every emit with a
 single ``if bus.active`` check, so an uninstrumented run pays one no-op
@@ -27,6 +28,7 @@ branch per event site and allocates nothing.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
@@ -100,8 +102,20 @@ class EventBus:
 
     def watch_activity(self, watcher: Callable[[bool], None]):
         """Register ``watcher(active)``; called immediately with the
-        current state and again on every subscribe/unsubscribe edge."""
-        self._watchers.append(watcher)
+        current state and again on every subscribe/unsubscribe edge.
+
+        A bound method is held weakly: the publishers that mirror their
+        own bus (kernel, CPU, scheme, ready queue) would otherwise form
+        a reference cycle with it, and a finished run — its record and
+        report views included — would wait for the cyclic garbage
+        collector instead of being freed when its last reference goes.
+        """
+        try:
+            ref = weakref.WeakMethod(watcher)
+        except TypeError:  # a function or a builtin method: hold it
+            def ref(watcher=watcher):
+                return watcher
+        self._watchers.append(ref)
         watcher(self.active)
         return watcher
 
@@ -109,8 +123,10 @@ class EventBus:
         if active == self.active:
             return
         self.active = active
-        for watcher in self._watchers:
-            watcher(active)
+        for ref in self._watchers:
+            watcher = ref()
+            if watcher is not None:
+                watcher(active)
 
     def subscribe(self, consumer) -> Any:
         """Attach ``consumer`` (a callable, or an object with an

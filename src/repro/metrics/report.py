@@ -54,8 +54,9 @@ def build_run_report(result, config: Optional[Dict[str, Any]] = None,
     """Assemble the report dict for one finished run.
 
     ``result`` is the :class:`repro.runtime.kernel.RunResult`; the
-    optional observers contribute their sections when given
-    (``recorder`` is a TraceRecorder or a QuantumLog: both provide
+    optional views contribute their sections when given, computed here
+    from the quantum record's columns (``recorder`` is a TraceRecorder
+    or a QuantumLog: both provide
     ``len``, ``by_kind``, ``switch_cost_stats`` and
     ``per_thread_cycles`` with the same values for the same run).  The
     ``counters`` section reproduces ``Counters.snapshot()`` exactly
@@ -94,9 +95,9 @@ def build_run_report(result, config: Optional[Dict[str, Any]] = None,
                      "mean": sum(samples) / len(samples)}
 
     behavior = None
-    if tracker is not None and tracker.quanta:
+    if tracker is not None and tracker.n_quanta:
         behavior = {
-            "quanta": len(tracker.quanta),
+            "quanta": tracker.n_quanta,
             "mean_window_activity": tracker.mean_window_activity(),
             "mean_total_window_activity":
                 tracker.mean_total_window_activity(),
@@ -107,9 +108,9 @@ def build_run_report(result, config: Optional[Dict[str, Any]] = None,
         }
 
     timeline_stats = None
-    if timeline is not None and timeline.samples:
+    if timeline is not None and timeline.n_samples:
         timeline_stats = {
-            "samples": len(timeline.samples),
+            "samples": timeline.n_samples,
             "dropped": timeline.dropped,
             "occupancy_ratio": timeline.occupancy_ratio(),
             "churn": timeline.churn(),

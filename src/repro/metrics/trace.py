@@ -153,16 +153,16 @@ def print_summary(result, recorder: TraceRecorder, tracker,
               % (len(traps) - 10))
     print()
 
-    if tracker.quanta:
+    if tracker.n_quanta:
         print("behavior: %.2f windows/quantum, %.1f-cycle granularity, "
               "%.2f mean concurrency" % (
                   tracker.mean_window_activity(), tracker.granularity(),
                   tracker.mean_concurrency()))
-    if timeline.samples:
+    if timeline.n_samples:
         print("windows: %.0f%% mean occupancy, %.0f%% churn "
               "(%d timeline samples)" % (
                   100 * timeline.occupancy_ratio(),
-                  100 * timeline.churn(), len(timeline.samples)))
+                  100 * timeline.churn(), timeline.n_samples))
     print()
 
     rows = [[kind, count]

@@ -8,9 +8,15 @@ window, one column per scheduling quantum — which makes the difference
 between the schemes directly visible (NS wipes the file every column;
 SP's columns barely change).
 
-Attach with ``kernel.timeline = OccupancyTimeline()``: the timeline
-observes the kernel's quantum boundaries (:mod:`repro.metrics.quanta`)
-and snapshots at every dispatch, whichever loop runs the quantum.
+Bind with ``kernel.timeline = OccupancyTimeline()``: the timeline is a
+view over the kernel's quantum record (:mod:`repro.metrics.quanta`),
+whose execution loop offers it one snapshot per dispatch.  Its
+measures are computed from the stored ``(cycle, tid, kinds, tids)``
+rows when asked; :attr:`OccupancyTimeline.samples` builds
+:class:`TimelineSample` objects on demand.  Fed by hand
+(:meth:`OccupancyTimeline.snapshot`) or from the event bus
+(:meth:`OccupancyTimeline.on_event`) instead, it keeps a store of its
+own.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from dataclasses import dataclass
 from operator import ne
 from typing import List, Optional, Tuple
 
+from repro.metrics.quanta import OccupancySamples, QuantumRecord
 from repro.windows.occupancy import FRAME, FREE, RESERVED
 
 #: cell glyphs: thread ids 0..9 then letters; free and reserved
@@ -60,8 +67,8 @@ class OccupancyTimeline:
     """Records window-map snapshots; renders them as a timeline.
 
     Long runs are decimated in place rather than truncated: when the
-    sample list fills, every other sample is discarded and the stride
-    doubles, so the retained samples always span the whole run (at
+    store fills, every other snapshot is discarded and the stride
+    doubles, so the retained snapshots always span the whole run (at
     progressively coarser resolution) instead of only its beginning.
     """
 
@@ -69,28 +76,15 @@ class OccupancyTimeline:
         if max_samples < 2:
             raise ValueError("max_samples must be >= 2")
         self.max_samples = max_samples
-        self.samples: List[TimelineSample] = []
+        self._store = OccupancySamples(max_samples)
         self.n_windows: Optional[int] = None
-        self._dropped = 0
-        self._stride = 1
-        self._since_kept = 0
-        #: the CPU snapshots are taken from; set when the timeline is
-        #: attached to a kernel (``kernel.timeline = ...``)
+        #: the CPU the bus adapter snapshots; set when the timeline is
+        #: bound to a kernel (``kernel.timeline = ...``)
         self.cpu = None
 
-    # -- quantum-boundary observer ---------------------------------------
-
-    def on_quantum_start(self, tid: int, depth: int, cycle: int,
-                         switch_cost: int) -> None:
-        if self.cpu is not None:
-            self.snapshot(self.cpu, tid, cycle)
-
-    def on_quantum_end(self, tid: int, exit_code: int, cycle: int,
-                       min_depth: int, max_depth: int) -> None:
-        pass
-
-    def on_run_end(self, kernel, cycle: int) -> None:
-        pass
+    def _bind(self, record: QuantumRecord, kernel) -> None:
+        self._store = record.sample_occupancy(self.max_samples)
+        self.n_windows = record.n_windows
 
     # -- event-bus adapter -------------------------------------------------
 
@@ -100,91 +94,90 @@ class OccupancyTimeline:
         if event.kind == "dispatch" and self.cpu is not None:
             self.snapshot(self.cpu, event.tid, event.cycle)
 
-    # -- kernel hook -----------------------------------------------------------
+    # -- hand feeding ------------------------------------------------------
 
     def snapshot(self, cpu, running_tid: int, cycle: int) -> None:
-        if self._since_kept:
-            # Mid-stride arrival: drop it, like its decimated peers.
-            self._since_kept = (self._since_kept + 1) % self._stride
-            self._dropped += 1
-            return
-        self._since_kept = (self._since_kept + 1) % self._stride
-        if len(self.samples) >= self.max_samples:
-            # Decimate in place: keep every other sample, double the
-            # stride.  Dropped samples stay counted.
-            self._dropped += len(self.samples) - len(self.samples[::2])
-            self.samples = self.samples[::2]
-            self._stride *= 2
-            self._since_kept = 1 % self._stride
         wmap = cpu.map
         self.n_windows = wmap.n_windows
-        self.samples.append(TimelineSample(
-            cycle, running_tid, tuple(wmap._kind), tuple(wmap._tid)))
+        self._store.offer(cycle, running_tid, wmap._kind, wmap._tid)
 
     # -- analysis ----------------------------------------------------------------
 
     @property
+    def samples(self) -> List[TimelineSample]:
+        """The retained snapshots as :class:`TimelineSample` objects
+        (built on each access; the analyses read the rows directly)."""
+        return [TimelineSample(*row) for row in self._store.rows]
+
+    @property
+    def n_samples(self) -> int:
+        return len(self._store.rows)
+
+    @property
     def dropped(self) -> int:
         """Snapshots not retained (decimated or skipped mid-stride)."""
-        return self._dropped
+        return self._store.dropped
 
     def occupancy_ratio(self) -> float:
         """Mean fraction of windows holding live frames."""
-        if not self.samples or not self.n_windows:
+        rows = self._store.rows
+        if not rows or not self.n_windows:
             return 0.0
-        frames = sum(s.kinds.count(FRAME) for s in self.samples)
-        return frames / (len(self.samples) * self.n_windows)
+        frames = sum(kinds.count(FRAME) for __, __, kinds, __ in rows)
+        return frames / (len(rows) * self.n_windows)
 
     def churn(self) -> float:
         """Mean fraction of windows whose occupant changed between
         consecutive samples — low churn is the visual signature of the
         sharing schemes."""
-        if len(self.samples) < 2 or not self.n_windows:
+        rows = self._store.rows
+        if len(rows) < 2 or not self.n_windows:
             return 0.0
         # A cell's glyph changes iff its kind changes, or its owner
         # changes to one with a different glyph (glyphs wrap at 26/36).
         changed = 0
-        for prev, cur in zip(self.samples, self.samples[1:]):
-            kinds, tids = prev.kinds, prev.tids
-            if tids == cur.tids:
-                if kinds != cur.kinds:
-                    changed += sum(map(ne, kinds, cur.kinds))
+        for (__, __, kinds, tids), (__, __, cur_kinds, cur_tids) in zip(
+                rows, rows[1:]):
+            if tids == cur_tids:
+                if kinds != cur_kinds:
+                    changed += sum(map(ne, kinds, cur_kinds))
                 continue
-            changed += sum(1 for a, b, c, d in zip(kinds, cur.kinds,
-                                                   tids, cur.tids)
+            changed += sum(1 for a, b, c, d in zip(kinds, cur_kinds,
+                                                   tids, cur_tids)
                            if a != b or (c != d
                                          and _glyph(a, c) != _glyph(b, d)))
-        return changed / ((len(self.samples) - 1) * self.n_windows)
+        return changed / ((len(rows) - 1) * self.n_windows)
 
     def distinct_owners(self, window: int) -> int:
         """How many different threads' frames a window held."""
         owners = set()
-        for s in self.samples:
-            if s.kinds[window] == FRAME:
-                owners.add(_glyph(FRAME, s.tids[window]))
+        for __, __, kinds, tids in self._store.rows:
+            if kinds[window] == FRAME:
+                owners.add(_glyph(FRAME, tids[window]))
         return len(owners)
 
     # -- rendering ----------------------------------------------------------------
 
     def render(self, max_columns: int = 100, legend: bool = True) -> str:
         """Rows = windows (W0 on top), columns = samples."""
-        if not self.samples or not self.n_windows:
+        rows = self._store.rows
+        if not rows or not self.n_windows:
             return "(no samples)"
-        samples = self.samples
-        if len(samples) > max_columns:
-            step = len(samples) / max_columns
-            samples = [samples[int(i * step)] for i in range(max_columns)]
-        columns = [s.cells for s in samples]
+        shown = rows
+        if len(rows) > max_columns:
+            step = len(rows) / max_columns
+            shown = [rows[int(i * step)] for i in range(max_columns)]
+        columns = [TimelineSample(*row).cells for row in shown]
         lines = []
         for w in range(self.n_windows):
             row = "".join(cells[w] for cells in columns)
             lines.append("W%-2d %s" % (w, row))
         if legend:
+            dropped = self.dropped
             lines.append("")
             lines.append("    digits/letters=thread frames  "
                          "lowercase=PRW  #=reserved  .=free  "
                          "(%d samples%s)"
-                         % (len(self.samples),
-                            ", %d dropped" % self._dropped
-                            if self._dropped else ""))
+                         % (len(rows),
+                            ", %d dropped" % dropped if dropped else ""))
         return "\n".join(lines)

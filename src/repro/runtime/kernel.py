@@ -131,9 +131,15 @@ class Kernel:
         self.events.watch_activity(self._set_tracing)
         self._tracker = None
         self._timeline = None
-        #: quantum-boundary observers (see :meth:`observe`); a tuple so
-        #: the loop's per-quantum guard is one truth test
+        #: the columnar quantum record the report views read (see
+        #: :meth:`attach_view`); None until a view is bound, so a plain
+        #: run allocates none
+        self._record = None
+        #: live quantum-boundary observers (see :meth:`observe`)
         self._observers = ()
+        #: the loop's per-quantum guard, one truth test: a record is
+        #: kept or a live observer is attached
+        self._observed = False
         #: streams closed while bound to this kernel's event bus (the
         #: ``stream_close`` tally of a RunReport's events section)
         self.streams_closed = 0
@@ -178,7 +184,9 @@ class Kernel:
     # -- observability ------------------------------------------------------
 
     def observe(self, observer):
-        """Attach (and return) a quantum-boundary observer.
+        """Attach (and return) a live quantum-boundary observer, for
+        callers that must act at a boundary (a report only reads what
+        happened: bind a view with :meth:`attach_view` instead).
 
         The kernel calls ``observer.on_quantum_start(tid, depth, cycle,
         switch_cost)`` after every dispatch, ``on_quantum_end(tid,
@@ -187,45 +195,64 @@ class Kernel:
         cycle)`` once the run completes.  Cycle stamps are exact; the
         exit code is one of :mod:`repro.runtime.batch`'s ``EXIT_*``.
         Observers fire at quantum granularity from the one execution
-        loop (see :mod:`repro.metrics.quanta`).  One may subscribe to
-        the event bus from ``on_quantum_start``: the quantum it starts
-        is traced in full."""
+        loop.  One may subscribe to the event bus from
+        ``on_quantum_start``: the quantum it starts is traced in full."""
         if observer not in self._observers:
             self._observers += (observer,)
+            self._observed = True
         return observer
 
     def unobserve(self, observer) -> None:
         self._observers = tuple(o for o in self._observers
                                 if o is not observer)
+        self._observed = bool(self._observers) or self._record is not None
+
+    def attach_view(self, view):
+        """Bind (and return) a view over the kernel's quantum record
+        (:mod:`repro.metrics.quanta`): a
+        :class:`~repro.metrics.behavior.BehaviorTracker`, an
+        :class:`~repro.metrics.tracing.OccupancyTimeline` or a
+        :class:`~repro.metrics.quanta.QuantumLog`.  The execution loop
+        fills the record inline at every quantum boundary once the
+        first view is bound; a view covers the quanta dispatched after
+        it was bound, so binding mid-run takes effect at the next
+        dispatch."""
+        record = self._record
+        if record is None:
+            from repro.metrics.quanta import QuantumRecord
+
+            record = self._record = QuantumRecord(self.cpu.n_windows)
+            self._observed = True
+        view._bind(record, self)
+        return view
 
     @property
     def tracker(self):
         """Optional :class:`repro.metrics.behavior.BehaviorTracker`,
-        attached as a quantum-boundary observer when assigned."""
+        bound as a view over the quantum record when assigned."""
         return self._tracker
 
     @tracker.setter
     def tracker(self, tracker) -> None:
-        if self._tracker is not None:
-            self.unobserve(self._tracker)
         self._tracker = tracker
         if tracker is not None:
-            self.observe(tracker)
+            self.attach_view(tracker)
 
     @property
     def timeline(self):
         """Optional :class:`repro.metrics.tracing.OccupancyTimeline`,
-        attached as a quantum-boundary observer when assigned."""
+        bound as a view over the quantum record when assigned (the
+        record then snapshots the window map at every dispatch)."""
         return self._timeline
 
     @timeline.setter
     def timeline(self, timeline) -> None:
-        if self._timeline is not None:
-            self.unobserve(self._timeline)
+        if self._record is not None:
+            self._record.occupancy = None
         self._timeline = timeline
         if timeline is not None:
             timeline.cpu = self.cpu
-            self.observe(timeline)
+            self.attach_view(timeline)
 
     def attach_telemetry(self, telemetry) -> None:
         """Arm aggregate metrics (:mod:`repro.metrics.telemetry`).
@@ -324,8 +351,10 @@ class Kernel:
             self._run_batched(max_steps)
         if self._tracing:
             self.events.emit("run_end")
-        if self._observers:
+        if self._observed:
             cycle = self.counters.total_cycles
+            if self._record is not None:
+                self._record.stop = cycle
             for observer in self._observers:
                 observer.on_run_end(self, cycle)
         self.counters.fold_thread_stats(t.windows for t in self.threads)
@@ -398,7 +427,9 @@ class Kernel:
         assert out is not thread, "self-switch should be impossible"
         out_tw = out.windows if out is not None else None
         flush = out.flush_on_switch if out is not None else False
-        switched_from = self.counters.switch_cycles
+        live = self._observers
+        if live:
+            switched_from = self.counters.switch_cycles
         self.scheme.context_switch(out_tw, thread.windows, flush_out=flush)
         self.last_suspended = None
         self.current = thread
@@ -410,27 +441,39 @@ class Kernel:
         if self._tracing:
             self.events.emit("dispatch", tid=thread.tid,
                              depth=thread.windows.depth)
-        if self._observers:
+        if self._observed:
             self._quantum_started(
-                thread, self.counters.switch_cycles - switched_from)
+                thread, self.counters.switch_cycles - switched_from
+                if live else 0)
         if self.audit:
             self._audit()
 
+    # The slow path of the two quantum boundaries, for ``_dispatch`` and
+    # the step-granular reference loop; ``_run_batched`` inlines both.
+
     def _quantum_started(self, thread: SimThread, switch_cost: int) -> None:
-        """Fire ``on_quantum_start`` (callers fold lazy cycles first)."""
+        """Append the dispatch row, then fire ``on_quantum_start``
+        (callers fold lazy cycles first)."""
         cycle = self.counters.total_cycles
         depth = thread.windows.depth
+        record = self._record
+        if record is not None:
+            record.dispatched(thread.tid, cycle, depth, self.cpu.map)
         for observer in self._observers:
             observer.on_quantum_start(thread.tid, depth, cycle, switch_cost)
 
     def _quantum_ended(self, thread: SimThread, min_depth: int,
                        max_depth: int) -> None:
-        """Fire ``on_quantum_end``; the exit kind follows from the state
-        the quantum left the thread in."""
+        """Close the quantum's row, then fire ``on_quantum_end``; the
+        exit kind follows from the state the quantum left the thread
+        in."""
         state = thread.state
         code = (EXIT_DONE if state == DONE else
                 EXIT_BLOCKED if state == BLOCKED else EXIT_YIELDED)
         cycle = self.counters.total_cycles
+        record = self._record
+        if record is not None:
+            record.ended(cycle, code, min_depth, max_depth)
         for observer in self._observers:
             observer.on_quantum_end(thread.tid, code, cycle, min_depth,
                                     max_depth)
@@ -481,8 +524,11 @@ class Kernel:
         fault slots are re-read per quantum (an observer may subscribe
         at a dispatch).  A traced or audited quantum keeps its cycles
         in the counters as it goes, and the lazy accumulators fold at
-        every boundary an observer or a live bus sees, so each stamp
-        reads the exact clock.
+        every boundary a record, an observer or a live bus sees, so
+        each stamp reads the exact clock.  The quantum record
+        (:mod:`repro.metrics.quanta`) is filled inline at both
+        boundaries, inside the same per-quantum ``observed`` guard as
+        the live observers.
         """
         cpu = self.cpu
         wf = cpu.wf
@@ -532,6 +578,13 @@ class Kernel:
         # a quantum's entry step checks the budget against
         # ``hook_limit``; with a watchdog armed every entry looks
         hook_limit = 0 if watchdog is not None else limit
+        # -- the quantum record: filled inline at both boundaries when
+        # a view is bound (hoisted again if the first binds mid-run) --
+        rec = self._record
+        if rec is not None:
+            (q_tid, q_start, q_depth, q_end, q_exit, q_low,
+             q_high) = rec.appends()
+        rec_open = rec is not None and rec.open
         # -- run-global accumulators, stored back in the outer finally --
         steps = self._steps        # -> self._steps
         progress = self._progress  # -> self._progress
@@ -993,12 +1046,12 @@ class Kernel:
                                 call_cycles = 0
                             prof._check(thread, None, counters)
                             prof_cd = prof._cd
-                # Quantum boundary seen by the observers: the cycle
-                # clock they read must be exact, so the lazy cycle
-                # accumulators fold first.  So they do for a bus that
-                # came alive mid-quantum, before the switch it traces
-                # (and the next quantum then counts eagerly).
-                observed = self._observers
+                # Quantum boundary seen by the record and the observers:
+                # the cycle clock they read must be exact, so the lazy
+                # cycle accumulators fold first.  So they do for a bus
+                # that came alive mid-quantum, before the switch it
+                # traces (and the next quantum then counts eagerly).
+                observed = self._observed
                 if observed or self._tracing:
                     if compute:
                         counters.compute_cycles += compute
@@ -1007,7 +1060,22 @@ class Kernel:
                         counters.call_cycles += call_cycles
                         call_cycles = 0
                     if observed:
-                        self._quantum_ended(thread, low, high)
+                        # -- _quantum_ended, inlined --
+                        cycle = counters.total_cycles
+                        state = thread.state
+                        code = (EXIT_DONE if state == DONE else
+                                EXIT_BLOCKED if state == BLOCKED_ else
+                                EXIT_YIELDED)
+                        if rec_open:
+                            q_end(cycle)
+                            q_exit(code)
+                            q_low(low)
+                            q_high(high)
+                            rec_open = False
+                        live = self._observers
+                        for observer in live:
+                            observer.on_quantum_end(thread.tid, code, cycle,
+                                                    low, high)
                 if watchdog is not None and thread.state != DONE:
                     # a block or a yield: the last step made no progress
                     watchdog.note_idle(progress, steps)
@@ -1020,7 +1088,7 @@ class Kernel:
                 nxt = popleft()
                 out = self.last_suspended
                 assert out is not nxt, "self-switch should be impossible"
-                if observed:
+                if observed and live:
                     switched_from = counters.switch_cycles
                 if out is not None:
                     context_switch(out.windows, nxt.windows,
@@ -1038,8 +1106,37 @@ class Kernel:
                     events.emit("dispatch", tid=nxt.tid,
                                 depth=nxt.windows.depth)
                 if observed:
-                    self._quantum_started(
-                        nxt, counters.switch_cycles - switched_from)
+                    # -- _quantum_started, inlined: the dispatch row (and
+                    # its occupancy snapshot), then the live observers --
+                    cycle = counters.total_cycles
+                    depth = nxt.windows.depth
+                    if self._record is not rec:  # first view bound mid-run
+                        rec = self._record
+                        (q_tid, q_start, q_depth, q_end, q_exit, q_low,
+                         q_high) = rec.appends()
+                    if rec is not None:
+                        q_tid(nxt.tid)
+                        q_start(cycle)
+                        q_depth(depth)
+                        rec_open = True
+                        samples = rec.occupancy
+                        if samples is not None:
+                            # -- OccupancySamples.offer, inlined --
+                            if samples.skip:
+                                samples.skip -= 1
+                                samples.dropped += 1
+                            else:
+                                rows = samples.rows
+                                if len(rows) >= samples.max_samples:
+                                    samples.decimate()
+                                rows.append((cycle, nxt.tid, tuple(kinds),
+                                             tuple(tids)))
+                                samples.skip = samples.stride - 1
+                    if live:
+                        switch_cost = counters.switch_cycles - switched_from
+                        for observer in self._observers:
+                            observer.on_quantum_start(nxt.tid, depth, cycle,
+                                                      switch_cost)
                 if audit:
                     self._steps = steps
                     self._audit()

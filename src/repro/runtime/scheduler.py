@@ -20,7 +20,7 @@ class ReadyQueue:
 
     __slots__ = ("policy", "_queue", "slackness_samples",
                  "sample_slackness", "events", "faults", "_tracing",
-                 "_fifo")
+                 "_fifo", "__weakref__")
 
     def __init__(self, policy: Optional[QueuePolicy] = None):
         self.policy = policy if policy is not None else FIFOPolicy()

@@ -160,14 +160,15 @@ class TestKernelPublishing:
 
 class TestLegacyAliases:
     def test_tracker_alias_observes_quanta(self):
-        """The tracker observes quantum boundaries; it does not
-        subscribe to the bus."""
+        """The tracker is a view over the kernel's quantum record; it
+        neither subscribes to the bus nor attaches a live observer."""
         kernel = Kernel(n_windows=8, scheme="SP")
         tracker = BehaviorTracker()
         kernel.tracker = tracker
         assert kernel.tracker is tracker
         assert not kernel.events.active
-        assert tracker in kernel._observers
+        assert kernel._observers == ()
+        assert kernel._record is not None
         stream = kernel.stream(2, "s")
         kernel.spawn(_producer, stream, 20, name="p")
         kernel.spawn(_consumer, stream, name="c")

@@ -1,17 +1,18 @@
-"""RunReports from quantum-boundary observers.
+"""RunReports from the quantum record, and the live observer hook.
 
 ``run_report_point`` builds its ``behavior``, ``timeline`` and
-``events`` sections from observers of the kernel's quantum boundaries,
-which leave the run on the batched loop.  Two contracts pin that:
+``events`` sections from views over the columnar quantum record the
+batched loop fills inline.  Two contracts pin that:
 
 * **differential** — the report is byte-identical to the one the
   event-bus oracle (:mod:`tests.support.report_oracle`: a TraceRecorder
   plus bus-fed tracker and timeline, on the step-granular reference
   loop) produces for the same spec, including faulted, audited and
   watchdog-guarded specs;
-* **production loop** — the kernel has one execution loop: report
-  observers, bus subscribers, faults, the watchdog, step budgets, the
-  audit and crash bundles all run on ``Kernel._run_batched``.
+* **production loop** — the kernel has one execution loop: the report
+  record, live observers, bus subscribers, faults, the watchdog, step
+  budgets, the audit and crash bundles all run on
+  ``Kernel._run_batched``.
 """
 
 from __future__ import annotations
@@ -237,7 +238,7 @@ def test_spawned_threads_are_tallied():
         return child.name
 
     kernel = Kernel(n_windows=8, scheme="NS")
-    log = kernel.observe(QuantumLog())
+    log = kernel.attach_view(QuantumLog())
     kernel.spawn(parent, name="parent")
     kernel.run()
     assert log.by_kind()["spawn"] == 2

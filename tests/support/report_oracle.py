@@ -1,8 +1,8 @@
 """Test-only reference oracle for RunReports: the event-bus observers.
 
-RunReports are built from quantum-boundary observers
-(:func:`repro.experiments.harness.attach_report_observers`).  Before
-that, every report came from three event-bus subscribers — a
+RunReports are built from views over the kernel's columnar quantum
+record (:func:`repro.experiments.harness.attach_report_observers`).
+Before that, every report came from three event-bus subscribers — a
 :class:`~repro.metrics.events.TraceRecorder` for the ``events``
 section, and the tracker and timeline consuming
 ``dispatch``/``save``/``restore``/``run_end`` events — which see every
@@ -36,7 +36,7 @@ def attach_bus_observers(kernel) -> Dict[str, object]:
 
 def oracle_report_point(*args, **kwargs) -> Dict:
     """:func:`repro.experiments.harness.run_report_point` with the
-    report built from the event bus instead of quantum boundaries."""
+    report built from the event bus instead of the quantum record."""
     hook = harness.attach_report_observers
     harness.attach_report_observers = attach_bus_observers
     try:

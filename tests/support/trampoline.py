@@ -8,8 +8,8 @@ replaced — one ``gen.send`` per step, with the budget and watchdog
 checked at the top of every step and the call/return/blocking-op
 machinery written out plainly — as the reference the differential
 suites pin the batched loop against, bit for bit (the same pattern as
-:class:`repro.windows.reference.ReferenceWindowFile`, the retained
-spec of the flat register file).
+:class:`~tests.support.reference_window_file.ReferenceWindowFile`,
+the retained spec of the flat register file).
 
 :func:`force_trampoline` rebinds a kernel instance's ``_run_batched``
 to run one quantum on this loop, so ``Kernel._run_to_completion``
@@ -100,7 +100,7 @@ def run_quantum(kernel: Kernel, max_steps: Optional[int] = None) -> int:
             if thread.pending is not None:
                 if not _continue_pending(kernel, thread):
                     _block(kernel, thread)
-                    if kernel._observers:
+                    if kernel._observed:
                         kernel._quantum_ended(thread, low, high)
                     return EXIT_BLOCKED
                 kernel._progress += 1
@@ -110,7 +110,7 @@ def run_quantum(kernel: Kernel, max_steps: Optional[int] = None) -> int:
             except StopIteration as stop:
                 if _handle_return(kernel, thread,
                                   getattr(stop, "value", None)):
-                    if kernel._observers:
+                    if kernel._observed:
                         kernel._quantum_ended(thread, low, high)
                     return EXIT_DONE  # thread finished
                 if tw.depth < low:
@@ -136,7 +136,7 @@ def run_quantum(kernel: Kernel, max_steps: Optional[int] = None) -> int:
                     kernel.ready.push_yielded(thread)
                     kernel.last_suspended = thread
                     kernel.current = None
-                    if kernel._observers:
+                    if kernel._observed:
                         kernel._quantum_ended(thread, low, high)
                     return EXIT_YIELDED
                 # Nobody else to run: keep going, no switch, no cost.

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.windows.backing_store import Frame
-from repro.windows.reference import ReferenceWindowFile
 from repro.windows.window_file import REGS_PER_BANK, WindowFile
+from tests.support.reference_window_file import ReferenceWindowFile
 
 # ops: (kind, window-ish, reg, value) — window/reg are reduced mod the
 # actual geometry inside the interpreter so every op is always legal
